@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <utility>
 
 namespace sc {
 
@@ -32,26 +33,25 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
+ThreadPool::TaskGroup::TaskGroup(ThreadPool& pool)
+    : pool_(pool), state_(std::make_shared<State>()) {}
+
+ThreadPool::TaskGroup::~TaskGroup() { (void)state_->wait(); }  // unobserved errors drop
+
+void ThreadPool::TaskGroup::wait() {
+  if (std::exception_ptr err = state_->wait()) std::rethrow_exception(err);
+}
+
+ThreadPool::InlineScope::InlineScope() : prev_(t_in_worker) { t_in_worker = true; }
+
+ThreadPool::InlineScope::~InlineScope() { t_in_worker = prev_; }
+
+void ThreadPool::enqueue(std::function<void()> task) {
   {
     MutexLock lock(mutex_);
     queue_.push_back(std::move(task));
-    ++in_flight_;
   }
   cv_task_.notify_one();
-}
-
-void ThreadPool::wait() {
-  std::exception_ptr err;
-  {
-    MutexLock lock(mutex_);
-    cv_done_.wait(mutex_, [this]() SC_REQUIRES(mutex_) { return in_flight_ == 0; });
-    if (first_error_) {
-      err = first_error_;
-      first_error_ = nullptr;
-    }
-  }
-  if (err) std::rethrow_exception(err);
 }
 
 void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
@@ -66,17 +66,18 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
   const std::size_t chunks = std::min(n, workers * 4);
   const std::size_t base = n / chunks;
   const std::size_t extra = n % chunks;
+  TaskGroup group(*this);
   std::size_t start = 0;
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t len = base + (c < extra ? 1 : 0);
     const std::size_t begin = start;
     const std::size_t end = start + len;
     start = end;
-    submit([&fn, begin, end] {
+    group.run([&fn, begin, end] {
       for (std::size_t i = begin; i < end; ++i) fn(i);
     });
   }
-  wait();
+  group.wait();
 }
 
 ThreadPool& ThreadPool::global() {
@@ -105,17 +106,7 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    try {
-      task();
-    } catch (...) {
-      MutexLock lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      MutexLock lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) cv_done_.notify_all();
-    }
+    task();  // TaskGroup::run's wrapper captures every exception
   }
 }
 

@@ -1,20 +1,24 @@
 // Minimal work-stealing-free thread pool with a parallel_for helper.
 //
 // Used to fan out simulator evaluations, dataset scoring and batched
-// linear algebra. Tasks must not throw across the pool boundary; any
-// exception is captured and rethrown on wait().
+// linear algebra. Work reaches the pool only through a TaskGroup: each group
+// counts its own tasks, and its wait() blocks on those tasks alone and
+// rethrows only their first exception. Concurrent callers sharing one pool
+// therefore never wait on each other's work (DESIGN.md §5).
 //
-// Lock discipline (compiler-checked under Clang, DESIGN.md §10): all queue
-// and completion state is guarded by `mutex_`; the two condition variables
-// wait on it through sc::CondVar. Worker threads and submitters only touch
-// the guarded fields inside sc::MutexLock scopes.
+// Lock discipline (compiler-checked under Clang, DESIGN.md §10): the task
+// queue is guarded by the pool's `mutex_`, each group's completion state by
+// its own mutex; both condition variables wait through sc::CondVar. Worker
+// threads and callers only touch guarded fields inside sc::MutexLock scopes.
 #pragma once
 
 #include <cstddef>
 #include <deque>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/thread_annotations.hpp"
@@ -32,16 +36,93 @@ public:
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Enqueue a task. Returns immediately.
-  void submit(std::function<void()> task) SC_EXCLUDES(mutex_);
+  /// A set of tasks run on one pool and awaited together. The completion
+  /// state is shared with every queued task, so it outlives the group object
+  /// until the last task has released it. wait() must not be called from a
+  /// worker of the same pool (it could wait on a task queued behind itself).
+  class TaskGroup {
+  public:
+    explicit TaskGroup(ThreadPool& pool);
+    /// Waits for outstanding tasks (their exception, if any, is dropped).
+    ~TaskGroup();
 
-  /// Block until all submitted tasks have finished. Rethrows the first
-  /// captured task exception, if any.
-  void wait() SC_EXCLUDES(mutex_);
+    TaskGroup(const TaskGroup&) = delete;
+    TaskGroup& operator=(const TaskGroup&) = delete;
 
-  /// Run fn(i) for i in [0, n) across the pool, blocking until done.
-  /// Falls back to serial execution for tiny n, and when called from a pool
-  /// worker thread (a nested wait() on the owning pool would deadlock).
+    /// Enqueue fn on a pool worker. Returns immediately.
+    template <typename Fn>
+    void run(Fn&& fn) {
+      state_->add();
+      pool_.enqueue([state = state_, fn = std::forward<Fn>(fn)]() mutable {
+        std::exception_ptr err;
+        try {
+          fn();
+        } catch (...) {
+          err = std::current_exception();
+        }
+        state->complete(std::move(err));
+      });
+    }
+
+    /// Block until every task run() on this group has finished. Rethrows the
+    /// group's first captured task exception, if any (once; the group is
+    /// reusable afterwards).
+    void wait();
+
+  private:
+    // Completion state shared by the group and its queued tasks: the last
+    // task to finish may still hold it after wait() returned.
+    class State {
+    public:
+      void add() SC_EXCLUDES(mutex_) {
+        MutexLock lock(mutex_);
+        ++pending_;
+      }
+
+      void complete(std::exception_ptr err) SC_EXCLUDES(mutex_) {
+        MutexLock lock(mutex_);
+        if (err && !error_) error_ = std::move(err);
+        if (--pending_ == 0) cv_idle_.notify_all();
+      }
+
+      /// Blocks until no task is pending; returns (and clears) the first error.
+      std::exception_ptr wait() SC_EXCLUDES(mutex_) {
+        MutexLock lock(mutex_);
+        cv_idle_.wait(mutex_, [this]() SC_REQUIRES(mutex_) { return pending_ == 0; });
+        return std::exchange(error_, nullptr);
+      }
+
+    private:
+      Mutex mutex_;
+      CondVar cv_idle_;
+      std::size_t pending_ SC_GUARDED_BY(mutex_) = 0;
+      std::exception_ptr error_ SC_GUARDED_BY(mutex_);
+    };
+
+    ThreadPool& pool_;
+    std::shared_ptr<State> state_;
+  };
+
+  /// Marks the calling thread as a pool worker for the scope's lifetime, so
+  /// every fan-out site (which all check in_worker()) runs inline on it. For
+  /// threads that already get their parallelism from elsewhere, such as the
+  /// serving tier's request workers. Scopes nest; exit restores the flag.
+  class InlineScope {
+  public:
+    InlineScope();
+    ~InlineScope();
+
+    InlineScope(const InlineScope&) = delete;
+    InlineScope& operator=(const InlineScope&) = delete;
+
+  private:
+    bool prev_;
+  };
+
+  /// Run fn(i) for i in [0, n) across the pool, blocking until done; only
+  /// this call's chunks are awaited. Falls back to serial execution for tiny
+  /// n, and when called from a pool worker thread or an InlineScope (a nested
+  /// wait on the owning pool could deadlock).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn)
       SC_EXCLUDES(mutex_);
 
@@ -52,10 +133,12 @@ public:
   /// Returns false (and changes nothing) once global() has been constructed.
   static bool configure_global(std::size_t threads);
 
-  /// True when the calling thread is a worker of any ThreadPool.
+  /// True when the calling thread is a worker of any ThreadPool or is inside
+  /// an InlineScope.
   static bool in_worker();
 
 private:
+  void enqueue(std::function<void()> task) SC_EXCLUDES(mutex_);
   void worker_loop() SC_EXCLUDES(mutex_);
 
   /// Immutable after construction (the vector is filled in the constructor
@@ -64,11 +147,8 @@ private:
 
   Mutex mutex_;
   CondVar cv_task_;
-  CondVar cv_done_;
   std::deque<std::function<void()>> queue_ SC_GUARDED_BY(mutex_);
-  std::size_t in_flight_ SC_GUARDED_BY(mutex_) = 0;
   bool stop_ SC_GUARDED_BY(mutex_) = false;
-  std::exception_ptr first_error_ SC_GUARDED_BY(mutex_);
 };
 
 }  // namespace sc

@@ -395,7 +395,7 @@ public:
         file_(file),
         file_size_(file_size),
         chunk_bytes_(chunk_bytes),
-        pool_(pool),
+        parsers_(pool),
         window_(pool.size() + 3),
         q_free_(window_),
         q_parse_(window_),
@@ -407,8 +407,8 @@ public:
       q_free_.try_push(std::move(c));
     }
     reader_ = std::thread([this] { read_thread(); });
-    for (std::size_t i = 0; i < pool_.size(); ++i) {
-      pool_.submit([this] { parse_loop(); });
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      parsers_.run([this] { parse_loop(); });
     }
   }
 
@@ -445,7 +445,7 @@ public:
     q_free_.close();
     q_parse_.close();
     if (reader_.joinable()) reader_.join();
-    pool_.wait();
+    parsers_.wait();
   }
 
   void rethrow_reader_error() SC_EXCLUDES(m_) {
@@ -682,7 +682,7 @@ private:
   std::FILE* const file_;  ///< owned by the caller; reader thread is the sole user
   const std::uint64_t file_size_;
   const std::size_t chunk_bytes_;
-  ThreadPool& pool_;
+  ThreadPool::TaskGroup parsers_;  ///< one parse_loop per pool worker
   const std::size_t window_;
 
   std::vector<std::unique_ptr<IngestChunk>> chunks_;

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "gnn/features.hpp"
 #include "nn/tensor.hpp"
 
@@ -51,6 +52,12 @@ bool AllocationService::submit(AllocRequest req, ResponseFn respond) {
 }
 
 void AllocationService::worker_loop() {
+  // Request parallelism comes from the service's workers, one request each;
+  // within a request the work is too small to repay a fan-out, and workers
+  // sharing one pool would wait on each other's chunks. Every fan-out site
+  // (GEMM panels, parallel bisection) therefore runs inline on this thread.
+  // Placements are unchanged: both are split-invariant (DESIGN.md §5.5).
+  ThreadPool::InlineScope inline_scope;
   // Retained across batches: pop_batch appends into this buffer without
   // reallocating once it has grown to max_batch.
   std::vector<Pending> batch;

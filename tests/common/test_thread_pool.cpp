@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -15,10 +16,11 @@ namespace {
 TEST(ThreadPool, RunsAllSubmittedTasks) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
+  ThreadPool::TaskGroup group(pool);
   for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+    group.run([&count] { count.fetch_add(1, std::memory_order_relaxed); });
   }
-  pool.wait();
+  group.wait();
   EXPECT_EQ(count.load(), 100);
 }
 
@@ -56,13 +58,87 @@ TEST(ThreadPool, ParallelForSingleElement) {
 
 TEST(ThreadPool, PropagatesTaskException) {
   ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait(), std::runtime_error);
-  // Pool remains usable afterwards.
+  ThreadPool::TaskGroup group(pool);
+  group.run([] { throw std::runtime_error("boom"); });
+  EXPECT_THROW(group.wait(), std::runtime_error);
+  // The error is reported once; group and pool remain usable afterwards.
   std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait();
+  group.run([&count] { ++count; });
+  group.wait();
   EXPECT_EQ(count.load(), 1);
+  EXPECT_THROW(pool.parallel_for(8, [](std::size_t i) {
+                 if (i == 5) throw std::runtime_error("chunk");
+               }),
+               std::runtime_error);
+}
+
+TEST(ThreadPool, ConcurrentCallersDoNotWaitOnEachOther) {
+  // Two external threads share one pool. Caller A's chunk blocks until
+  // caller B's parallel_for has returned: with a pool-wide wait, B would wait
+  // on A's blocked chunk, so the timeout turns that regression into a failure
+  // instead of a hang. Then A's second call throws while B runs again: only
+  // A sees the exception.
+  constexpr auto kTimeout = std::chrono::seconds(30);
+  ThreadPool pool(4);
+  std::promise<void> a_blocked;
+  std::promise<void> b_returned;
+  std::shared_future<void> b_done = b_returned.get_future().share();
+  bool a_timed_out = false;
+  bool a_caught = false;
+
+  std::thread caller_a([&] {
+    pool.parallel_for(2, [&](std::size_t i) {
+      if (i != 0) return;
+      a_blocked.set_value();
+      if (b_done.wait_for(kTimeout) != std::future_status::ready) a_timed_out = true;
+    });
+    try {
+      pool.parallel_for(16, [](std::size_t i) {
+        if (i == 3) throw std::runtime_error("caller A");
+      });
+    } catch (const std::runtime_error&) {
+      a_caught = true;
+    }
+  });
+  std::thread caller_b([&] {
+    a_blocked.get_future().wait();
+    std::vector<int> hits(64, 0);
+    pool.parallel_for(hits.size(), [&hits](std::size_t i) { ++hits[i]; });
+    b_returned.set_value();
+    EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 64);
+    EXPECT_NO_THROW(pool.parallel_for(hits.size(), [&hits](std::size_t i) { ++hits[i]; }));
+  });
+  caller_a.join();
+  caller_b.join();
+  EXPECT_FALSE(a_timed_out) << "caller B waited on caller A's chunk";
+  EXPECT_TRUE(a_caught);
+}
+
+TEST(ThreadPool, InlineScopeRunsParallelForOnCallingThread) {
+  ThreadPool pool(4);
+  ASSERT_FALSE(ThreadPool::in_worker());
+  const std::thread::id self = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(257);
+  {
+    ThreadPool::InlineScope scope;
+    EXPECT_TRUE(ThreadPool::in_worker());
+    {
+      ThreadPool::InlineScope nested;
+      EXPECT_TRUE(ThreadPool::in_worker());
+    }
+    EXPECT_TRUE(ThreadPool::in_worker());
+    pool.parallel_for(ran_on.size(), [&ran_on](std::size_t i) {
+      ran_on[i] = std::this_thread::get_id();
+    });
+  }
+  EXPECT_FALSE(ThreadPool::in_worker());
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, self);
+  // Outside the scope the same call fans out to pool workers again.
+  std::vector<std::thread::id> fanned(257);
+  pool.parallel_for(fanned.size(), [&fanned](std::size_t i) {
+    fanned[i] = std::this_thread::get_id();
+  });
+  for (const std::thread::id id : fanned) EXPECT_NE(id, self);
 }
 
 TEST(ThreadPool, SizeMatchesRequestedThreads) {

@@ -9,6 +9,8 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -28,8 +30,7 @@ namespace {
 TEST(ThreadPoolStress, ConcurrentParallelForCallers) {
   // Several external threads share one pool and issue parallel_for
   // concurrently. Each caller writes a disjoint result range; the pool's
-  // queue, in_flight_ counter and wait() predicate are the shared state
-  // under test.
+  // queue is the shared state under test, each call's task group its own.
   ThreadPool pool(4);
   constexpr std::size_t kCallers = 6;
   constexpr std::size_t kItems = 512;
@@ -52,29 +53,93 @@ TEST(ThreadPoolStress, ConcurrentParallelForCallers) {
 }
 
 TEST(ThreadPoolStress, SubmitWaitChurn) {
-  // Rapid submit/wait cycles interleaved across threads, with tiny task
-  // bodies so the queue empties and refills constantly (exercises the
-  // cv_done_ notify path at in_flight_ == 0 edges).
+  // Rapid run/wait cycles on per-thread groups sharing one pool, with tiny
+  // task bodies so the queue empties and refills constantly (exercises each
+  // group's notify path at its pending == 0 edge).
   ThreadPool pool(3);
   std::atomic<std::uint64_t> total{0};
   std::vector<std::thread> producers;
   for (int p = 0; p < 4; ++p) {
     producers.emplace_back([&pool, &total] {
+      ThreadPool::TaskGroup group(pool);
       for (int round = 0; round < 50; ++round) {
         for (int i = 0; i < 20; ++i) {
-          pool.submit([&total] { total.fetch_add(1, std::memory_order_relaxed); });
+          group.run([&total] { total.fetch_add(1, std::memory_order_relaxed); });
         }
+        group.wait();
       }
     });
   }
   for (std::thread& t : producers) t.join();
-  pool.wait();
   EXPECT_EQ(total.load(), 4u * 50u * 20u);
+}
+
+TEST(ThreadPoolStress, TaskGroupCreateDestroyChurn) {
+  // Thousands of short-lived groups created, waited and destroyed from four
+  // threads. A group's last task may still be releasing the group state
+  // after wait() returned and the group object is gone; ASan/TSan flag any
+  // use-after-free of that state.
+  ThreadPool pool(4);
+  std::atomic<std::uint64_t> total{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 4; ++c) {
+    callers.emplace_back([&pool, &total, c] {
+      for (int round = 0; round < 2000; ++round) {
+        ThreadPool::TaskGroup group(pool);
+        const int tasks = 1 + (round + c) % 3;
+        for (int i = 0; i < tasks; ++i) {
+          group.run([&total] { total.fetch_add(1, std::memory_order_relaxed); });
+        }
+        if (round % 2 == 0) group.wait();  // odd rounds: the destructor waits
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  std::uint64_t expected = 0;
+  for (int c = 0; c < 4; ++c) {
+    for (int round = 0; round < 2000; ++round) expected += 1 + (round + c) % 3;
+  }
+  EXPECT_EQ(total.load(), expected);
+}
+
+TEST(ThreadPoolStress, ConcurrentCallersOwnTheirErrors) {
+  // Callers share one pool; every other call of the odd callers throws. Each
+  // failing call surfaces exactly its own error, and the even callers never
+  // see one, however their chunks interleave with the failing ones.
+  ThreadPool pool(4);
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 100;
+  std::vector<int> caught(kCallers, 0);
+  std::vector<int> foreign(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &caught, &foreign, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        const bool fail = c % 2 == 1 && round % 2 == 0;
+        try {
+          pool.parallel_for(24, [fail, c](std::size_t i) {
+            if (fail && i == 11) throw std::runtime_error(std::to_string(c));
+          });
+        } catch (const std::runtime_error& e) {
+          if (e.what() == std::to_string(c)) {
+            ++caught[c];
+          } else {
+            ++foreign[c];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(caught[c], c % 2 == 1 ? kRounds / 2 : 0) << "caller " << c;
+    EXPECT_EQ(foreign[c], 0) << "caller " << c;
+  }
 }
 
 TEST(ThreadPoolStress, NestedParallelForFallsBackSerially) {
   // parallel_for issued from inside a worker must run inline (a nested
-  // wait() on the owning pool would deadlock) while outer calls still fan
+  // wait on the owning pool could deadlock) while outer calls still fan
   // out. Mixes both in one run.
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(128);

@@ -1,6 +1,6 @@
 // AllocationService: deterministic pump()-driven pipeline tests — batched /
 // unbatched bit-identity, in-batch dedup, tail-cache reuse, shedding, error
-// isolation, and threaded drain/stop.
+// isolation, threaded drain/stop, and threaded-vs-pump() bit-identity.
 #include "serve/service.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,10 @@
 #include <vector>
 
 #include "../testutil.hpp"
+#include "common/thread_annotations.hpp"
+#include "common/thread_pool.hpp"
+#include "gen/dataset.hpp"
+#include "gen/generator.hpp"
 #include "gnn/policy.hpp"
 #include "rl/rollout.hpp"
 
@@ -218,6 +222,60 @@ TEST(AllocationService, ThreadedDrainAnswersEverythingBeforeStop) {
   const ServeStats s = svc.stats();
   EXPECT_EQ(s.completed, s.accepted);
   EXPECT_EQ(s.errors, 0u);
+}
+
+TEST(AllocationService, ThreadedWorkersMatchPumpBitForBit) {
+  // Service workers run every fan-out site (GEMM row panels, parallel
+  // bisection) inline; pump() on this thread fans both out over the global
+  // pool. Graphs of 128+ nodes batched together put the encoder GEMMs above
+  // the panel fan-out threshold, and 10 devices give the bisection tree a
+  // frontier to split, so the two services take different thread paths that
+  // must produce bit-identical placements.
+  ThreadPool::configure_global(4);  // no-op if the pool is already running
+  gen::GeneratorConfig gcfg = gen::setting_config(gen::Setting::Medium);
+  gcfg.topology.min_nodes = 128;
+  const std::vector<graph::StreamGraph> graphs = gen::generate_graphs(gcfg, 6, 1601);
+  const sim::ClusterSpec spec = rl::to_cluster_spec(gcfg.workload);
+  auto requests = [&] {
+    std::vector<AllocRequest> reqs;
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+      AllocRequest req = request_for(i + 1, graphs[i], /*best_of=*/2);
+      req.spec = spec;
+      reqs.push_back(std::move(req));
+    }
+    return reqs;
+  };
+
+  AllocationService pumped(test_policy(), rl::metis_placer(), pump_config(true));
+  std::map<std::uint64_t, AllocResponse> expected;
+  run_requests(pumped, requests(), expected);
+
+  ServeConfig cfg = pump_config(true);
+  cfg.workers = 2;
+  cfg.batch_window_us = 50;
+  AllocationService threaded(test_policy(), rl::metis_placer(), cfg);
+  Mutex mu;
+  std::map<std::uint64_t, AllocResponse> got;
+  for (AllocRequest& req : requests()) {
+    const std::uint64_t id = req.id;
+    ASSERT_TRUE(threaded.submit(std::move(req), [&mu, &got, id](AllocResponse res) {
+      MutexLock lock(mu);
+      got[id] = std::move(res);
+    }));
+  }
+  threaded.drain();
+  threaded.stop();
+
+  MutexLock lock(mu);
+  ASSERT_EQ(got.size(), graphs.size());
+  for (const auto& [id, want] : expected) {
+    ASSERT_EQ(want.status, ResponseStatus::Ok) << want.error;
+    const AllocResponse& res = got[id];
+    EXPECT_EQ(res.status, ResponseStatus::Ok) << res.error;
+    EXPECT_EQ(res.placement, want.placement) << "request " << id;
+    EXPECT_EQ(res.throughput, want.throughput) << "request " << id;
+    EXPECT_EQ(res.relative, want.relative) << "request " << id;
+  }
 }
 
 }  // namespace

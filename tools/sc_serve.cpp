@@ -11,6 +11,12 @@
 //            [--workers N] [--queue-depth N] [--max-batch N]
 //            [--batch-window-us N] [--no-batch] [--best-of-cap K]
 //            [--placer metis|oracle|coarsen-only] [--setting medium]
+//            [--threads N]
+//
+// Request parallelism comes from --workers: each worker runs its whole
+// request on its own thread and never fans out to the thread pool (DESIGN.md
+// §8). --threads N only sizes the process-wide pool, which no server worker
+// uses; it is accepted like in every other tool.
 //
 // Client (used by tests/tools_smoke.sh, handy interactively):
 //
