@@ -69,6 +69,37 @@ Tensor unary(Tensor a, double (*f)(double),
   return out;
 }
 
+// Fan row panels out over the global pool once an op has at least this much
+// work, in multiply-add units; below it the submit/wake overhead dominates.
+constexpr std::size_t kParallelFlops = std::size_t{1} << 18;
+// Rows per panel: a multiple of the 4-row register micro-tile so the panel
+// split never changes which rows share a micro-tile.
+constexpr std::size_t kPanelRows = 64;
+// One std::tanh costs about as much as 200 multiply-adds of the AVX-512 GEMM
+// (about 21 ns against 0.1 ns), so the tanh epilogues count at that rate.
+constexpr std::size_t kTanhFlops = 200;
+
+/// Runs fn(lo, hi) over [0, rows): as fixed kPanelRows panels on the global
+/// pool when there are at least two panels and `work` (multiply-adds) pays
+/// for the fan-out, else once over all rows on this thread. Every caller
+/// computes each output row from its inputs alone, in the same order for any
+/// split, so the result is bit-identical either way. Pool workers and
+/// InlineScope threads (sc_serve's request workers) never fan out, and check
+/// that before touching ThreadPool::global(), so they never build the pool.
+template <typename Fn>
+void for_row_panels(std::size_t rows, std::size_t work, const Fn& fn) {
+  if (rows < 2 * kPanelRows || work < kParallelFlops || ThreadPool::in_worker() ||
+      ThreadPool::global().size() <= 1) {
+    fn(std::size_t{0}, rows);
+    return;
+  }
+  const std::size_t panels = (rows + kPanelRows - 1) / kPanelRows;
+  ThreadPool::global().parallel_for(panels, [&fn, rows](std::size_t pi) {
+    const std::size_t lo = pi * kPanelRows;
+    fn(lo, std::min(rows, lo + kPanelRows));
+  });
+}
+
 }  // namespace
 
 namespace kernels {
@@ -92,19 +123,6 @@ double* nt_scratch(std::size_t m) {
   const std::size_t need = simd::gemm_nt_scratch_doubles(m);
   if (buf.size() < need) buf.resize(need);
   return buf.data();
-}
-
-// Fan row panels out over the global pool once a kernel has at least this
-// many multiply-adds; below it the submit/wake overhead dominates.
-constexpr std::size_t kParallelFlops = std::size_t{1} << 18;
-// Rows per panel: a multiple of the 4-row register micro-tile so the panel
-// split never changes which rows share a micro-tile.
-constexpr std::size_t kPanelRows = 64;
-
-bool parallel_worthwhile(std::size_t outer, std::size_t flops) {
-  if (outer < 2 * kPanelRows || flops < kParallelFlops) return false;
-  if (ThreadPool::in_worker()) return false;  // nested: run on this thread
-  return ThreadPool::global().size() > 1;
 }
 
 // The row-panel kernels themselves (4-row register blocking, ascending-p
@@ -168,15 +186,9 @@ void gemm_nn(const double* a, const double* b, double* c, std::size_t n, std::si
   }
   if (!accumulate) std::fill(c, c + n * m, 0.0);
   const simd::Tier tier = dispatch_tier();
-  if (parallel_worthwhile(n, n * k * m)) {
-    const std::size_t panels = (n + kPanelRows - 1) / kPanelRows;
-    ThreadPool::global().parallel_for(panels, [=](std::size_t pi) {
-      const std::size_t lo = pi * kPanelRows;
-      simd::gemm_nn_rows(tier, a, b, c, lo, std::min(n, lo + kPanelRows), k, m);
-    });
-  } else {
-    simd::gemm_nn_rows(tier, a, b, c, 0, n, k, m);
-  }
+  for_row_panels(n, n * k * m, [=](std::size_t lo, std::size_t hi) {
+    simd::gemm_nn_rows(tier, a, b, c, lo, hi, k, m);
+  });
 }
 
 void gemm_nt(const double* a, const double* b, double* c, std::size_t n, std::size_t m,
@@ -186,16 +198,9 @@ void gemm_nt(const double* a, const double* b, double* c, std::size_t n, std::si
     return;
   }
   const simd::Tier tier = dispatch_tier();
-  if (parallel_worthwhile(n, n * k * m)) {
-    const std::size_t panels = (n + kPanelRows - 1) / kPanelRows;
-    ThreadPool::global().parallel_for(panels, [=](std::size_t pi) {
-      const std::size_t lo = pi * kPanelRows;
-      simd::gemm_nt_rows(tier, a, b, c, nt_scratch(m), lo,
-                         std::min(n, lo + kPanelRows), m, k);
-    });
-  } else {
-    simd::gemm_nt_rows(tier, a, b, c, nt_scratch(m), 0, n, m, k);
-  }
+  for_row_panels(n, n * k * m, [=](std::size_t lo, std::size_t hi) {
+    simd::gemm_nt_rows(tier, a, b, c, nt_scratch(m), lo, hi, m, k);
+  });
 }
 
 void gemm_tn(const double* a, const double* b, double* c, std::size_t n, std::size_t k,
@@ -205,15 +210,10 @@ void gemm_tn(const double* a, const double* b, double* c, std::size_t n, std::si
     return;
   }
   const simd::Tier tier = dispatch_tier();
-  if (parallel_worthwhile(k, n * k * m)) {
-    const std::size_t panels = (k + kPanelRows - 1) / kPanelRows;
-    ThreadPool::global().parallel_for(panels, [=](std::size_t pi) {
-      const std::size_t lo = pi * kPanelRows;
-      simd::gemm_tn_cols(tier, a, b, c, lo, std::min(k, lo + kPanelRows), n, k, m);
-    });
-  } else {
-    simd::gemm_tn_cols(tier, a, b, c, 0, k, n, k, m);
-  }
+  // Panels over the k output rows of C (k, m).
+  for_row_panels(k, n * k * m, [=](std::size_t lo, std::size_t hi) {
+    simd::gemm_tn_cols(tier, a, b, c, lo, hi, n, k, m);
+  });
 }
 
 bool set_blocked(bool enabled) {
@@ -718,14 +718,31 @@ Tensor linear_tanh(Tensor x, Tensor w, Tensor b) {
       }
     }
   });
-  auto& v = out.value();
-  kernels::gemm_nn(x.value().data(), w.value().data(), v.data(), n, k, m, false);
-  if (b.defined()) {
-    const auto& vb = b.value();
-    for (std::size_t i = 0; i < v.size(); ++i) v[i] = std::tanh(v[i] + vb[i % m]);
-  } else {
-    for (std::size_t i = 0; i < v.size(); ++i) v[i] = std::tanh(v[i]);
-  }
+  // One fan-out for GEMM and epilogue: each panel computes its rows exactly as
+  // kernels::gemm_nn would (the same naive or blocked path, at the same SIMD
+  // tier), then applies bias+tanh to them. The tanh calls outweigh the GEMM.
+  double* v = out.value().data();
+  const double* xv = x.value().data();
+  const double* wv = w.value().data();
+  const double* bv = b.defined() ? b.value().data() : nullptr;
+  const bool blocked = kernels::blocked_enabled();
+  const simd::Tier tier = kernels::simd_tier();
+  for_row_panels(n, n * m * (k + kTanhFlops), [=](std::size_t lo, std::size_t hi) {
+    if (blocked) {
+      std::fill(v + lo * m, v + hi * m, 0.0);
+      simd::gemm_nn_rows(tier, xv, wv, v, lo, hi, k, m);
+    } else {
+      kernels::gemm_nn_naive(xv + lo * k, wv, v + lo * m, hi - lo, k, m, false);
+    }
+    for (std::size_t i = lo; i < hi; ++i) {
+      double* row = v + i * m;
+      if (bv != nullptr) {
+        for (std::size_t j = 0; j < m; ++j) row[j] = std::tanh(row[j] + bv[j]);
+      } else {
+        for (std::size_t j = 0; j < m; ++j) row[j] = std::tanh(row[j]);
+      }
+    }
+  });
   return out;
 }
 
@@ -769,22 +786,23 @@ Tensor gather_add_tanh(Tensor base, const std::vector<std::size_t>& index,
                   simd::accumulate(tier, g.data(), dz.data(), g.size());
                 }
               });
-  auto& v = out.value();
-  const auto& bv = base.value();
-  if (add_term.defined()) {
-    const auto& av = add_term.value();
-    for (std::size_t i = 0; i < index.size(); ++i) {
-      for (std::size_t j = 0; j < m; ++j) {
-        v[i * m + j] = std::tanh(bv[index[i] * m + j] + av[i * m + j]);
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < index.size(); ++i) {
-      for (std::size_t j = 0; j < m; ++j) {
-        v[i * m + j] = std::tanh(bv[index[i] * m + j]);
-      }
-    }
-  }
+  double* v = out.value().data();
+  const double* bv = base.value().data();
+  const double* av = add_term.defined() ? add_term.value().data() : nullptr;
+  const std::size_t* idx = index.data();
+  for_row_panels(index.size(), index.size() * m * kTanhFlops,
+                 [=](std::size_t lo, std::size_t hi) {
+                   for (std::size_t i = lo; i < hi; ++i) {
+                     const double* src = bv + idx[i] * m;
+                     double* row = v + i * m;
+                     if (av != nullptr) {
+                       const double* add = av + i * m;
+                       for (std::size_t j = 0; j < m; ++j) row[j] = std::tanh(src[j] + add[j]);
+                     } else {
+                       for (std::size_t j = 0; j < m; ++j) row[j] = std::tanh(src[j]);
+                     }
+                   }
+                 });
   return out;
 }
 
@@ -815,6 +833,9 @@ Tensor masked_logprob_sum(Tensor logits, std::vector<std::vector<int>> masks,
         auto& g = logits.grad();
         const auto& z = logits.value();
         const double dsum = final_scale * r.grad[0];
+        // One sigmoid per element, shared by every mask.
+        std::vector<double> p(z.size());
+        for (std::size_t i = 0; i < p.size(); ++i) p[i] = 1.0 / (1.0 + std::exp(-z[i]));
         // Episodes in reverse order, elements ascending: the exact
         // accumulation order of the unfused add(loss, scale(...)) chain's
         // reverse-topological backward, so logits.grad is bit-identical.
@@ -822,19 +843,23 @@ Tensor masked_logprob_sum(Tensor logits, std::vector<std::vector<int>> masks,
           const double dsj = (*cs)[j] * dsum;
           const auto& mask = (*ms)[j];
           for (std::size_t i = 0; i < g.size(); ++i) {
-            const double p = 1.0 / (1.0 + std::exp(-z[i]));
-            g[i] += (static_cast<double>(mask[i]) - p) * dsj;
+            g[i] += (static_cast<double>(mask[i]) - p[i]) * dsj;
           }
         }
       });
   const auto& z = logits.value();
+  // log p(action | z[i]) for both actions once per element; each per-mask sum
+  // adds them in ascending element order, as the unfused chain does.
+  std::vector<double> logp1(z.size()), logp0(z.size());
+  for (std::size_t i = 0; i < z.size(); ++i) {
+    logp1[i] = -softplus(-z[i]);
+    logp0[i] = -softplus(z[i]);
+  }
   double acc = 0.0;
   for (std::size_t j = 0; j < ms->size(); ++j) {
     const auto& mask = (*ms)[j];
     double s = 0.0;
-    for (std::size_t i = 0; i < z.size(); ++i) {
-      s += mask[i] == 1 ? -softplus(-z[i]) : -softplus(z[i]);
-    }
+    for (std::size_t i = 0; i < z.size(); ++i) s += mask[i] == 1 ? logp1[i] : logp0[i];
     acc += (*cs)[j] * s;
   }
   out.value()[0] = acc * final_scale;

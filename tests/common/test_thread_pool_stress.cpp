@@ -16,9 +16,14 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "gen/dataset.hpp"
 #include "gen/generator.hpp"
+#include "gnn/features.hpp"
+#include "gnn/policy.hpp"
 #include "graph/contraction.hpp"
+#include "graph/rates.hpp"
 #include "graph/weighted_graph.hpp"
+#include "nn/ops.hpp"
 #include "partition/mlpart.hpp"
 #include "partition/workspace.hpp"
 #include "rl/episode_cache.hpp"
@@ -327,6 +332,62 @@ TEST(TrainEpochStress, ParallelEpochsSharedPool) {
   double best = 0.0;
   for (int e = 0; e < 3; ++e) best = trainer.train_epoch().mean_best_reward;
   EXPECT_GT(best, 0.0);
+}
+
+TEST(NnFanOutStress, ConcurrentLargeGraphForwardBackward) {
+  // Two external threads run with-grad Large-graph forward and backward
+  // passes at once, while the nn ops fan their row panels out over the one
+  // shared global pool. Logits and parameter gradients must equal a serial
+  // reference bit for bit.
+  ThreadPool::configure_global(4);  // no-op once the pool exists
+  const gen::GeneratorConfig gcfg = gen::setting_config(gen::Setting::Large);
+  const auto graphs = gen::generate_graphs(gcfg, 2, 53);
+  const sim::ClusterSpec spec = rl::to_cluster_spec(gcfg.workload);
+  std::vector<gnn::GraphFeatures> features;
+  for (const auto& g : graphs) {
+    features.push_back(gnn::extract_features(g, graph::compute_load_profile(g), spec));
+  }
+
+  struct Pass {
+    std::vector<double> logits;
+    std::vector<std::vector<double>> grads;
+  };
+  // Each pass owns its policy, so concurrent passes never share a gradient.
+  auto pass = [&features](std::size_t gi) {
+    const gnn::CoarseningPolicy policy{gnn::PolicyConfig{}};
+    const nn::Tensor logits = policy.logits(features[gi]);
+    std::vector<int> mask(logits.size());
+    for (std::size_t i = 0; i < mask.size(); ++i) mask[i] = static_cast<int>(i % 2);
+    nn::masked_logprob_sum(logits, {mask}, {1.0}, 1.0).backward();
+    Pass p;
+    p.logits = logits.value();
+    for (const nn::Tensor& t : policy.parameters()) p.grads.push_back(t.grad());
+    return p;
+  };
+  std::vector<Pass> reference;
+  {
+    ThreadPool::InlineScope serial;
+    for (std::size_t gi = 0; gi < graphs.size(); ++gi) reference.push_back(pass(gi));
+  }
+
+  constexpr std::size_t kCallers = 2;
+  constexpr std::size_t kRounds = 3;
+  std::vector<std::vector<Pass>> got(kCallers);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&got, &pass, c] {
+      for (std::size_t r = 0; r < kRounds; ++r) got[c].push_back(pass((c + r) % 2));
+    });
+  }
+  for (std::thread& t : callers) t.join();
+
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      const Pass& want = reference[(c + r) % 2];
+      EXPECT_TRUE(got[c][r].logits == want.logits) << "caller " << c << " round " << r;
+      EXPECT_TRUE(got[c][r].grads == want.grads) << "caller " << c << " round " << r;
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gen/dataset.hpp"
 #include "gen/generator.hpp"
 
 namespace sc::rl {
@@ -109,7 +110,10 @@ TEST(Reinforce, TrainingChangesParameters) {
 TEST(Reinforce, EpochStatsIdenticalAcrossThreadCounts) {
   // The restructured train_epoch derives every sampling RNG from the epoch
   // seed and applies updates sequentially, so a 1-thread and a 4-thread pool
-  // must produce identical statistics for the same seed.
+  // must produce identical statistics for the same seed. cfg.pool governs
+  // only the trainer's own fan-out; the nn ops fan row panels out over
+  // ThreadPool::global() in both runs (LargeGraphTrainingBitIdenticalInline
+  // covers that fan-out).
   const auto graphs = small_graphs(4, 29);
   auto run = [&](ThreadPool* pool) {
     auto contexts = make_contexts(graphs, spec());
@@ -128,11 +132,11 @@ TEST(Reinforce, EpochStatsIdenticalAcrossThreadCounts) {
   const auto b = run(&wide);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t e = 0; e < a.size(); ++e) {
-    EXPECT_NEAR(a[e].mean_sample_reward, b[e].mean_sample_reward, 1e-9);
-    EXPECT_NEAR(a[e].mean_best_reward, b[e].mean_best_reward, 1e-9);
-    EXPECT_NEAR(a[e].mean_greedy_reward, b[e].mean_greedy_reward, 1e-9);
-    EXPECT_NEAR(a[e].mean_compression, b[e].mean_compression, 1e-9);
-    EXPECT_NEAR(a[e].mean_loss, b[e].mean_loss, 1e-9);
+    EXPECT_EQ(a[e].mean_sample_reward, b[e].mean_sample_reward);
+    EXPECT_EQ(a[e].mean_best_reward, b[e].mean_best_reward);
+    EXPECT_EQ(a[e].mean_greedy_reward, b[e].mean_greedy_reward);
+    EXPECT_EQ(a[e].mean_compression, b[e].mean_compression);
+    EXPECT_EQ(a[e].mean_loss, b[e].mean_loss);
     // Each evaluation does exactly one cache lookup, so hits + misses is
     // thread-count invariant even though the split can differ (concurrent
     // first-touches of one mask both count as misses).
@@ -141,6 +145,53 @@ TEST(Reinforce, EpochStatsIdenticalAcrossThreadCounts) {
     // Mask dedup runs sequentially on the main thread, so its count is
     // exactly thread-count invariant.
     EXPECT_EQ(a[e].dedup_hits, b[e].dedup_hits);
+  }
+}
+
+TEST(Reinforce, LargeGraphTrainingBitIdenticalInline) {
+  // On Large graphs the nn ops fan their row panels out over
+  // ThreadPool::global(). Training inside an InlineScope, where neither the
+  // trainer nor the nn ops fan out, must reach the same bits.
+  ThreadPool::configure_global(4);  // no-op once the pool exists
+  const gen::GeneratorConfig gcfg = gen::setting_config(gen::Setting::Large);
+  const auto graphs = gen::generate_graphs(gcfg, 4, 41);
+  struct Run {
+    std::vector<EpochStats> stats;
+    std::vector<std::vector<double>> params;
+  };
+  auto train = [&] {
+    auto contexts = make_contexts(graphs, to_cluster_spec(gcfg.workload));
+    gnn::CoarseningPolicy policy{gnn::PolicyConfig{}};
+    TrainerConfig cfg;
+    cfg.seed = 9;
+    cfg.metis_guidance = true;
+    ReinforceTrainer trainer(policy, contexts, metis_placer(), cfg);
+    Run r;
+    for (int e = 0; e < 2; ++e) r.stats.push_back(trainer.train_epoch());
+    for (const nn::Tensor& p : policy.parameters()) r.params.push_back(p.value());
+    return r;
+  };
+
+  const Run fanned = train();
+  Run serial;
+  {
+    ThreadPool::InlineScope scope;
+    serial = train();
+  }
+  EXPECT_TRUE(fanned.params == serial.params) << "trained parameters differ";
+  ASSERT_EQ(fanned.stats.size(), serial.stats.size());
+  for (std::size_t e = 0; e < fanned.stats.size(); ++e) {
+    const EpochStats& a = fanned.stats[e];
+    const EpochStats& b = serial.stats[e];
+    EXPECT_EQ(a.mean_sample_reward, b.mean_sample_reward) << "epoch " << e;
+    EXPECT_EQ(a.mean_best_reward, b.mean_best_reward) << "epoch " << e;
+    EXPECT_EQ(a.mean_greedy_reward, b.mean_greedy_reward) << "epoch " << e;
+    EXPECT_EQ(a.mean_compression, b.mean_compression) << "epoch " << e;
+    EXPECT_EQ(a.mean_loss, b.mean_loss) << "epoch " << e;
+    EXPECT_EQ(a.cache_hits, b.cache_hits) << "epoch " << e;
+    EXPECT_EQ(a.cache_misses, b.cache_misses) << "epoch " << e;
+    EXPECT_EQ(a.cache_collisions, b.cache_collisions) << "epoch " << e;
+    EXPECT_EQ(a.dedup_hits, b.dedup_hits) << "epoch " << e;
   }
 }
 
