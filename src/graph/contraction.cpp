@@ -1,7 +1,6 @@
 #include "graph/contraction.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 
 #include "analysis/validate.hpp"
@@ -12,14 +11,6 @@ namespace sc::graph {
 
 namespace contraction_scratch {
 
-namespace {
-std::atomic<bool> g_enabled{true};
-}  // namespace
-
-bool set_enabled(bool enabled) { return g_enabled.exchange(enabled, std::memory_order_relaxed); }
-
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
 ContractionScratch& local() {
   thread_local ContractionScratch scratch;
   return scratch;
@@ -29,94 +20,12 @@ ContractionScratch& local() {
 
 namespace {
 
-/// Legacy (allocating) finisher, kept verbatim apart from the flat group
-/// layout so the contraction_scratch=off arm of bench_perf_reward measures
-/// the pre-workspace allocation profile (fresh vectors + the unordered_map
-/// edge merge inside the WeightedGraph constructor).
-Coarsening finish_from_dsu(const StreamGraph& g, const LoadProfile& profile, UnionFind& dsu) {
+/// Turns the components of scratch.dsu into `out`: coarse ids in first-seen
+/// order, flat groups, summed CPU weights and merged coarse edges. Shared by
+/// the mask and the grouping entry points.
+void finish_into(const StreamGraph& g, const LoadProfile& profile,
+                 ContractionScratch& scratch, Coarsening& out) {
   const std::size_t n = g.num_nodes();
-  Coarsening c;
-  c.node_map.assign(n, kInvalidNode);
-
-  // Compact DSU roots to dense coarse ids in first-seen order.
-  NodeId next = 0;
-  std::vector<NodeId> root_to_id(n, kInvalidNode);
-  for (NodeId v = 0; v < n; ++v) {
-    const auto root = dsu.find(v);
-    if (root_to_id[root] == kInvalidNode) root_to_id[root] = next++;
-    c.node_map[v] = root_to_id[root];
-  }
-
-  // Flat groups via counting sort over v ascending — the same member order
-  // the old vector<vector<NodeId>> layout produced with push_back.
-  c.group_offsets.assign(next + 1, 0);
-  for (NodeId v = 0; v < n; ++v) ++c.group_offsets[c.node_map[v] + 1];
-  for (std::size_t i = 0; i < next; ++i) c.group_offsets[i + 1] += c.group_offsets[i];
-  c.group_members.resize(n);
-  std::vector<std::size_t> cursor(c.group_offsets.begin(), c.group_offsets.end() - 1);
-  for (NodeId v = 0; v < n; ++v) c.group_members[cursor[c.node_map[v]]++] = v;
-
-  std::vector<double> weights(next, 0.0);
-  for (NodeId v = 0; v < n; ++v) weights[c.node_map[v]] += profile.node_cpu[v];
-
-  std::vector<WeightedEdge> coarse_edges;
-  coarse_edges.reserve(g.num_edges());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const Channel& ch = g.edge(e);
-    const NodeId a = c.node_map[ch.src];
-    const NodeId b = c.node_map[ch.dst];
-    if (a == b) continue;  // internal edge vanished
-    coarse_edges.push_back(WeightedEdge{a, b, profile.edge_traffic[e]});
-  }
-  c.coarse = WeightedGraph(std::move(weights), coarse_edges);
-  // Checked builds validate the full contraction contract (surjective +
-  // idempotent map, no self-loop supernodes, feature-mass conservation) at
-  // the point of production, covering contract() and contract_by_groups().
-  SC_VALIDATE_AT(Deep, analysis::validate(c, g, profile));
-  return c;
-}
-
-}  // namespace
-
-std::vector<int> Coarsening::expand_placement(const std::vector<int>& coarse_placement) const {
-  SC_CHECK(coarse_placement.size() == num_coarse_nodes(),
-           "coarse placement size " << coarse_placement.size() << " != coarse nodes "
-                                    << num_coarse_nodes());
-  std::vector<int> fine(node_map.size());
-  for (std::size_t v = 0; v < node_map.size(); ++v) {
-    fine[v] = coarse_placement[node_map[v]];
-  }
-  return fine;
-}
-
-Coarsening contract(const StreamGraph& g, const LoadProfile& profile,
-                    const std::vector<bool>& mask) {
-  if (contraction_scratch::enabled()) {
-    Coarsening out;
-    contract_into(g, profile, mask, contraction_scratch::local(), out);
-    return out;
-  }
-  SC_CHECK(mask.size() == g.num_edges(),
-           "mask size " << mask.size() << " != edge count " << g.num_edges());
-  UnionFind dsu(g.num_nodes());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (mask[e]) dsu.unite(g.edge(e).src, g.edge(e).dst);
-  }
-  return finish_from_dsu(g, profile, dsu);
-}
-
-// sc-lint: hot-path
-void contract_into(const StreamGraph& g, const LoadProfile& profile,
-                   const std::vector<bool>& mask, ContractionScratch& scratch,
-                   Coarsening& out) {
-  SC_CHECK(mask.size() == g.num_edges(),
-           "mask size " << mask.size() << " != edge count " << g.num_edges());
-  const std::size_t n = g.num_nodes();
-  scratch.dsu.reset(n);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (mask[e]) scratch.dsu.unite(g.edge(e).src, g.edge(e).dst);
-  }
-
   // Compact DSU roots to dense coarse ids in first-seen order.
   out.node_map.resize(n);
   scratch.root_to_id.assign(n, kInvalidNode);
@@ -127,9 +36,9 @@ void contract_into(const StreamGraph& g, const LoadProfile& profile,
     out.node_map[v] = scratch.root_to_id[root];
   }
 
-  // Flat groups via counting sort; group_offsets[c] doubles as the fill
-  // cursor for group c and is restored by the final shift, so no cursor
-  // buffer is needed. Member order matches finish_from_dsu (v ascending).
+  // Flat groups via counting sort, members in ascending id order;
+  // group_offsets[c] doubles as the fill cursor for group c and is restored
+  // by the final shift, so no cursor buffer is needed.
   out.group_offsets.assign(next + 1, 0);
   for (NodeId v = 0; v < n; ++v) ++out.group_offsets[out.node_map[v] + 1];
   for (std::size_t i = 0; i < next; ++i) out.group_offsets[i + 1] += out.group_offsets[i];
@@ -155,13 +64,52 @@ void contract_into(const StreamGraph& g, const LoadProfile& profile,
     scratch.coarse_edges.push_back(WeightedEdge{a, b, profile.edge_traffic[e]});
   }
   out.coarse.rebuild(scratch.weights, scratch.coarse_edges, scratch.dedup);
+  // Checked builds validate the full contraction contract (surjective +
+  // idempotent map, no self-loop supernodes, feature-mass conservation) at
+  // the point of production, covering every entry point.
   SC_VALIDATE_AT(Deep, analysis::validate(out, g, profile));
+}
+
+}  // namespace
+
+std::vector<int> Coarsening::expand_placement(const std::vector<int>& coarse_placement) const {
+  SC_CHECK(coarse_placement.size() == num_coarse_nodes(),
+           "coarse placement size " << coarse_placement.size() << " != coarse nodes "
+                                    << num_coarse_nodes());
+  std::vector<int> fine(node_map.size());
+  for (std::size_t v = 0; v < node_map.size(); ++v) {
+    fine[v] = coarse_placement[node_map[v]];
+  }
+  return fine;
+}
+
+Coarsening contract(const StreamGraph& g, const LoadProfile& profile,
+                    const std::vector<bool>& mask) {
+  Coarsening out;
+  contract_into(g, profile, mask, contraction_scratch::local(), out);
+  return out;
+}
+
+// sc-lint: hot-path
+void contract_into(const StreamGraph& g, const LoadProfile& profile,
+                   const std::vector<bool>& mask, ContractionScratch& scratch,
+                   Coarsening& out) {
+  SC_CHECK(mask.size() == g.num_edges(),
+           "mask size " << mask.size() << " != edge count " << g.num_edges());
+  const std::size_t n = g.num_nodes();
+  scratch.dsu.reset(n);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (mask[e]) scratch.dsu.unite(g.edge(e).src, g.edge(e).dst);
+  }
+
+  finish_into(g, profile, scratch, out);
 }
 
 Coarsening contract_by_groups(const StreamGraph& g, const LoadProfile& profile,
                               const std::vector<NodeId>& group_of_node) {
   SC_CHECK(group_of_node.size() == g.num_nodes(), "grouping size mismatch");
-  UnionFind dsu(g.num_nodes());
+  ContractionScratch& scratch = contraction_scratch::local();
+  scratch.dsu.reset(g.num_nodes());
   // Unite each node with the first-seen representative of its group label.
   std::vector<NodeId> rep;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -170,10 +118,12 @@ Coarsening contract_by_groups(const StreamGraph& g, const LoadProfile& profile,
     if (rep[label] == kInvalidNode) {
       rep[label] = v;
     } else {
-      dsu.unite(rep[label], v);
+      scratch.dsu.unite(rep[label], v);
     }
   }
-  return finish_from_dsu(g, profile, dsu);
+  Coarsening out;
+  finish_into(g, profile, scratch, out);
+  return out;
 }
 
 std::vector<bool> mask_from_groups(const StreamGraph& g, const LoadProfile& profile,

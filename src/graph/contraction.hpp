@@ -61,25 +61,19 @@ struct ContractionScratch {
   EdgeDedupScratch dedup;
 };
 
-/// Runtime toggle for the scratch-based contraction fast path (same pattern
-/// as nn::arena / nn::fused). Default: enabled. Off routes contract() and the
-/// rl reward pipeline through the legacy allocating path for A/B baselines.
 namespace contraction_scratch {
-/// Toggles the fast path (returns the previous setting). Default: enabled.
-bool set_enabled(bool enabled);
-bool enabled();
 /// This thread's scratch instance (one workspace set per worker thread).
 ContractionScratch& local();
 }  // namespace contraction_scratch
 
 /// Contracts `g` by merging the endpoints of every edge e with mask[e] = true.
-/// `profile` supplies the unit-rate loads used as coarse weights.
+/// `profile` supplies the unit-rate loads used as coarse weights. Runs
+/// contract_into on this thread's scratch and returns a copy of the result.
 Coarsening contract(const StreamGraph& g, const LoadProfile& profile,
                     const std::vector<bool>& mask);
 
-/// Scratch-based contraction, bit-identical to contract(): same node_map,
-/// group layout, coarse edge order, and accumulated weights. `out` is
-/// overwritten; its buffers are reused across calls (shrink/grow safe).
+/// Scratch-based contraction: `out` is overwritten and its buffers are
+/// reused across calls (shrink/grow safe), so a warm call allocates nothing.
 void contract_into(const StreamGraph& g, const LoadProfile& profile,
                    const std::vector<bool>& mask, ContractionScratch& scratch,
                    Coarsening& out);

@@ -23,7 +23,6 @@ namespace sc::graph {
 
 namespace {
 
-std::atomic<bool> g_parallel_ingest{true};
 std::atomic<std::size_t> g_ingest_chunk_bytes{0};  // 0 = default (kIoBufferBytes)
 std::atomic<ThreadPool*> g_ingest_pool{nullptr};
 
@@ -88,7 +87,7 @@ public:
   std::size_t buffer_bytes() const { return kIoBufferBytes; }
 
 private:
-  // On the serial arm there is no pipeline: the calling thread plays the
+  // In the serial reader there is no pipeline: the calling thread plays the
   // reader role, and this refill is its sanctioned blocking read.
   // sc-lint: reader-thread
   void refill() {
@@ -226,7 +225,8 @@ void flush_edge_batch(IngestSink* sink, std::uint64_t& batch_seq,
   batch.clear();
 }
 
-/// Legacy serial two-pass reader (the parallel_ingest OFF arm).
+/// Serial two-pass reader: the path read_csr takes from inside a pool worker
+/// or a ThreadPool::InlineScope, where it must not fan out.
 // sc-lint: streaming-path
 CsrGraph read_csr_serial(const std::string& path, StreamingReadStats* stats,
                          IngestSink* sink) {
@@ -347,7 +347,7 @@ CsrGraph read_csr_serial(const std::string& path, StreamingReadStats* stats,
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined chunk-parallel reader (the parallel_ingest ON arm, DESIGN.md §9).
+// Pipelined chunk-parallel reader (DESIGN.md §9).
 //
 //   reader thread --q_parse--> parse workers --ready ring--> commit thread
 //        ^                                                        |
@@ -485,7 +485,7 @@ private:
 
   // The pipeline's only blocking-read site: everything downstream is fed
   // through bounded queues (enforced by sc_analyze's streaming-blocking-read
-  // rule; the serial arm's sanctioned read is BoundedLineScanner::refill).
+  // rule; the serial reader's sanctioned read is BoundedLineScanner::refill).
   // sc-lint: reader-thread
   void read_all() {
     std::vector<IngestChunk*> got;
@@ -666,7 +666,7 @@ private:
           SC_CHECK(payload >= 0.0 && rf >= 0.0,
                    "negative edge feature in line '" << line << "'");
           // src/dst < n <= kMaxIngestCount, so the narrowing is exact (the
-          // serial arm's checked_node_id cannot fire either).
+          // serial reader's checked_node_id cannot fire either).
           c->edges.push_back({static_cast<NodeId>(src), static_cast<NodeId>(dst_id),  // sc-lint: allow(unchecked-id-narrowing)
                               static_cast<float>(payload), static_cast<float>(rf)});
         }
@@ -880,16 +880,6 @@ CsrGraph read_csr_pipelined(const std::string& path, StreamingReadStats* stats,
 
 }  // namespace
 
-namespace parallel_ingest {
-
-bool set_enabled(bool enabled) {
-  return g_parallel_ingest.exchange(enabled, std::memory_order_relaxed);
-}
-
-bool enabled() { return g_parallel_ingest.load(std::memory_order_relaxed); }
-
-}  // namespace parallel_ingest
-
 void set_ingest_chunk_bytes(std::size_t bytes) {
   g_ingest_chunk_bytes.store(bytes, std::memory_order_relaxed);
 }
@@ -901,10 +891,10 @@ ThreadPool* set_ingest_pool(ThreadPool* pool) {
 // sc-lint: streaming-path
 CsrGraph read_csr(const std::string& path, StreamingReadStats* stats, IngestSink* sink) {
   if (stats != nullptr) *stats = StreamingReadStats{};
-  // The pipelined arm parks parse loops on pool workers; from inside a pool
-  // worker that would self-deadlock (same rule as ThreadPool::parallel_for),
-  // so nested readers take the serial arm.
-  if (!parallel_ingest::enabled() || ThreadPool::in_worker()) {
+  // The pipelined reader parks parse loops on pool workers; from inside a
+  // pool worker that would self-deadlock (same rule as
+  // ThreadPool::parallel_for), so nested readers read serially.
+  if (ThreadPool::in_worker()) {
     return read_csr_serial(path, stats, sink);
   }
   ThreadPool* override_pool = g_ingest_pool.load(std::memory_order_relaxed);

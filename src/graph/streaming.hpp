@@ -7,7 +7,7 @@
 // roughly 5x smaller than the StreamGraph/GraphBuilder path, which keeps
 // double features, a Channel array with explicit endpoints, and a second
 // (incoming) adjacency structure. At the `Huge` generator setting (1M+
-// nodes) the difference is what keeps peak RSS bounded (bench_huge).
+// nodes) the difference is what keeps peak RSS bounded.
 #pragma once
 
 #include <cstdint>
@@ -72,16 +72,6 @@ private:
   std::string name_;
 };
 
-/// Toggle for the pipelined chunk-parallel reader in read_csr (background
-/// reader thread + worker-parallel record parsing + single-pass CSR fill).
-/// Default: enabled. Off = the legacy serial two-pass scanner. Both arms
-/// produce bit-identical CsrGraphs and fail on the same malformed line.
-namespace parallel_ingest {
-/// Toggles the pipelined reader (returns the previous setting).
-bool set_enabled(bool enabled);
-bool enabled();
-}  // namespace parallel_ingest
-
 /// Test knob: byte size of one pipelined ingest chunk (0 restores the
 /// default, which equals the serial reader's 256 KiB buffer). Tiny chunks
 /// force every line to stitch across a chunk boundary, which is exactly what
@@ -117,7 +107,8 @@ struct CsrEdgeRec {
 /// delivers every validated edge exactly once, in file order, as a sequence
 /// of batches numbered 0,1,2,… — always from the single commit thread, while
 /// parse workers race ahead on later chunks. Batch *boundaries* depend on
-/// the reader arm and chunk size; the concatenated record stream does not.
+/// the reader (pipelined or serial) and the chunk size; the concatenated
+/// record stream does not.
 class IngestSink {
 public:
   virtual ~IngestSink() = default;
@@ -128,16 +119,18 @@ public:
 /// compressed CSR. Header counts are validated against both the ingest cap
 /// and the file size BEFORE any allocation.
 ///
-/// Serial arm (parallel_ingest off): two bounded-buffer passes — pass 1
-/// validates the records and counts out-degrees, pass 2 fills the CSR slots
-/// in place; transient memory is one fixed-size I/O buffer.
+/// One file pass: a background reader thread splits the byte stream into
+/// stitched line chunks, pool workers parse the records, and the calling
+/// thread commits results in sequence order, so errors surface for the
+/// earliest malformed line; transient memory holds the parsed edges in file
+/// order (16 bytes/edge) until they are scattered into CSR slot order.
 ///
-/// Pipelined arm (default): one file pass — a background reader thread
-/// splits the byte stream into stitched line chunks, pool workers parse the
-/// records, and the calling thread commits results in sequence order, so
-/// errors surface for the same (earliest) malformed line as the serial arm;
-/// transient memory additionally holds the parsed edges in file order
-/// (16 bytes/edge) until they are scattered into CSR slot order.
+/// Called from inside a pool worker or a ThreadPool::InlineScope
+/// (ThreadPool::in_worker()), it reads serially instead: two bounded-buffer
+/// passes — pass 1 validates the records and counts out-degrees, pass 2
+/// fills the CSR slots in place; transient memory is one fixed-size I/O
+/// buffer. Both readers produce bit-identical CsrGraphs and fail on the same
+/// malformed line.
 CsrGraph read_csr(const std::string& path, StreamingReadStats* stats = nullptr,
                   IngestSink* sink = nullptr);
 

@@ -9,8 +9,6 @@ namespace sc::nn {
 
 namespace {
 
-std::atomic<bool> g_enabled{true};
-
 std::atomic<std::uint64_t> g_acquires{0};
 std::atomic<std::uint64_t> g_reuses{0};
 std::atomic<std::uint64_t> g_fresh{0};
@@ -69,8 +67,7 @@ void reset_node(detail::TensorData& d) {
 struct ArenaDeleter {
   void operator()(detail::TensorData* p) const {
     FreeList& list = free_list();
-    if (!g_enabled.load(std::memory_order_relaxed) ||
-        list.nodes.size() >= kMaxPooledNodes || list.bytes >= kMaxPooledBytes) {
+    if (list.nodes.size() >= kMaxPooledNodes || list.bytes >= kMaxPooledBytes) {
       delete p;
       return;
     }
@@ -90,9 +87,6 @@ struct ArenaDeleter {
 namespace detail {
 
 std::shared_ptr<TensorData> alloc_tensor_data() {
-  if (!g_enabled.load(std::memory_order_relaxed)) {
-    return std::make_shared<TensorData>();
-  }
   g_acquires.fetch_add(1, std::memory_order_relaxed);
   FreeList& list = free_list();
   if (!list.nodes.empty()) {
@@ -112,12 +106,6 @@ std::shared_ptr<TensorData> alloc_tensor_data() {
 }  // namespace detail
 
 namespace arena {
-
-bool set_enabled(bool enabled) {
-  return g_enabled.exchange(enabled, std::memory_order_relaxed);
-}
-
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 ArenaStats stats() {
   ArenaStats s;

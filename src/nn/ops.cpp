@@ -1,7 +1,6 @@
 #include "nn/ops.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "common/thread_pool.hpp"
@@ -106,16 +105,6 @@ namespace kernels {
 
 namespace {
 
-std::atomic<bool> g_blocked{true};
-std::atomic<bool> g_simd{true};
-
-/// Tier the next kernel invocation dispatches on: the runtime-detected tier,
-/// or the scalar reference when the A/B toggle is off. Read once per op so a
-/// concurrent set_simd/set_tier never mixes tiers within one kernel.
-simd::Tier dispatch_tier() {
-  return g_simd.load(std::memory_order_relaxed) ? simd::active() : simd::Tier::Scalar;
-}
-
 /// Per-thread scratch for gemm_nt's packed B tile (pool workers each get
 /// their own, so panel fan-out stays race-free).
 double* nt_scratch(std::size_t m) {
@@ -126,9 +115,8 @@ double* nt_scratch(std::size_t m) {
 }
 
 // The row-panel kernels themselves (4-row register blocking, ascending-p
-// accumulation, zero-skip) live in nn/simd.hpp: the scalar reference there is
-// the code that used to live here, and the AVX2/AVX-512/NEON tiers replicate
-// its per-element operation sequence exactly (see simd.hpp for the
+// accumulation, zero-skip) live in nn/simd.hpp: the AVX2/AVX-512/NEON tiers
+// replicate the scalar reference tier's per-element operation sequence exactly (see simd.hpp for the
 // determinism contract). gemm_nn/nt keep every output element accumulated in
 // a fixed order by one thread, so results are bit-identical for any panel
 // split; gemm_tn folds four input rows per pass (a reassociation within the
@@ -137,55 +125,10 @@ double* nt_scratch(std::size_t m) {
 
 }  // namespace
 
-void gemm_nn_naive(const double* a, const double* b, double* c, std::size_t n,
-                   std::size_t k, std::size_t m, bool accumulate) {
-  if (!accumulate) std::fill(c, c + n * m, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t p = 0; p < k; ++p) {
-      const double av = a[i * k + p];
-      if (av == 0.0) continue;
-      const double* brow = b + p * m;
-      double* crow = c + i * m;
-      for (std::size_t j = 0; j < m; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
-void gemm_nt_naive(const double* a, const double* b, double* c, std::size_t n,
-                   std::size_t m, std::size_t k) {
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      const double* arow = a + i * m;
-      const double* brow = b + j * m;
-      double acc = 0.0;
-      for (std::size_t p = 0; p < m; ++p) acc += arow[p] * brow[p];
-      c[i * k + j] += acc;
-    }
-  }
-}
-
-void gemm_tn_naive(const double* a, const double* b, double* c, std::size_t n,
-                   std::size_t k, std::size_t m) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* arow = a + i * k;
-    const double* brow = b + i * m;
-    for (std::size_t p = 0; p < k; ++p) {
-      const double av = arow[p];
-      if (av == 0.0) continue;
-      double* crow = c + p * m;
-      for (std::size_t j = 0; j < m; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
 void gemm_nn(const double* a, const double* b, double* c, std::size_t n, std::size_t k,
              std::size_t m, bool accumulate) {
-  if (!g_blocked.load(std::memory_order_relaxed)) {
-    gemm_nn_naive(a, b, c, n, k, m, accumulate);
-    return;
-  }
   if (!accumulate) std::fill(c, c + n * m, 0.0);
-  const simd::Tier tier = dispatch_tier();
+  const simd::Tier tier = simd::active();
   for_row_panels(n, n * k * m, [=](std::size_t lo, std::size_t hi) {
     simd::gemm_nn_rows(tier, a, b, c, lo, hi, k, m);
   });
@@ -193,11 +136,7 @@ void gemm_nn(const double* a, const double* b, double* c, std::size_t n, std::si
 
 void gemm_nt(const double* a, const double* b, double* c, std::size_t n, std::size_t m,
              std::size_t k) {
-  if (!g_blocked.load(std::memory_order_relaxed)) {
-    gemm_nt_naive(a, b, c, n, m, k);
-    return;
-  }
-  const simd::Tier tier = dispatch_tier();
+  const simd::Tier tier = simd::active();
   for_row_panels(n, n * k * m, [=](std::size_t lo, std::size_t hi) {
     simd::gemm_nt_rows(tier, a, b, c, nt_scratch(m), lo, hi, m, k);
   });
@@ -205,30 +144,12 @@ void gemm_nt(const double* a, const double* b, double* c, std::size_t n, std::si
 
 void gemm_tn(const double* a, const double* b, double* c, std::size_t n, std::size_t k,
              std::size_t m) {
-  if (!g_blocked.load(std::memory_order_relaxed)) {
-    gemm_tn_naive(a, b, c, n, k, m);
-    return;
-  }
-  const simd::Tier tier = dispatch_tier();
+  const simd::Tier tier = simd::active();
   // Panels over the k output rows of C (k, m).
   for_row_panels(k, n * k * m, [=](std::size_t lo, std::size_t hi) {
     simd::gemm_tn_cols(tier, a, b, c, lo, hi, n, k, m);
   });
 }
-
-bool set_blocked(bool enabled) {
-  return g_blocked.exchange(enabled, std::memory_order_relaxed);
-}
-
-bool blocked_enabled() { return g_blocked.load(std::memory_order_relaxed); }
-
-bool set_simd(bool enabled) {
-  return g_simd.exchange(enabled, std::memory_order_relaxed);
-}
-
-bool simd_enabled() { return g_simd.load(std::memory_order_relaxed); }
-
-simd::Tier simd_tier() { return dispatch_tier(); }
 
 }  // namespace kernels
 
@@ -237,7 +158,7 @@ Tensor add(Tensor a, Tensor b) {
   if (!bias_row) check_same_shape(a, b, "add");
 
   Tensor out = make_op(a.shape(), {a, b}, [a, b, bias_row](TensorData& r) mutable {
-    const simd::Tier tier = kernels::simd_tier();
+    const simd::Tier tier = simd::active();
     if (a.requires_grad()) {
       auto& ga = a.grad();
       simd::accumulate(tier, ga.data(), r.grad.data(), ga.size());
@@ -259,7 +180,7 @@ Tensor add(Tensor a, Tensor b) {
   auto& v = out.value();
   const auto& va = a.value();
   const auto& vb = b.value();
-  const simd::Tier tier = kernels::simd_tier();
+  const simd::Tier tier = simd::active();
   if (bias_row) {
     const std::size_t m = vb.size();
     for (std::size_t row = 0; row * m < v.size(); ++row) {
@@ -274,7 +195,7 @@ Tensor add(Tensor a, Tensor b) {
 Tensor sub(Tensor a, Tensor b) {
   check_same_shape(a, b, "sub");
   Tensor out = make_op(a.shape(), {a, b}, [a, b](TensorData& r) mutable {
-    const simd::Tier tier = kernels::simd_tier();
+    const simd::Tier tier = simd::active();
     if (a.requires_grad()) {
       auto& ga = a.grad();
       simd::accumulate(tier, ga.data(), r.grad.data(), ga.size());
@@ -285,7 +206,7 @@ Tensor sub(Tensor a, Tensor b) {
     }
   });
   auto& v = out.value();
-  simd::sub(kernels::simd_tier(), a.value().data(), b.value().data(), v.data(),
+  simd::sub(simd::active(), a.value().data(), b.value().data(), v.data(),
             v.size());
   return out;
 }
@@ -293,7 +214,7 @@ Tensor sub(Tensor a, Tensor b) {
 Tensor mul(Tensor a, Tensor b) {
   check_same_shape(a, b, "mul");
   Tensor out = make_op(a.shape(), {a, b}, [a, b](TensorData& r) mutable {
-    const simd::Tier tier = kernels::simd_tier();
+    const simd::Tier tier = simd::active();
     if (a.requires_grad()) {
       auto& ga = a.grad();
       simd::accumulate_mul(tier, ga.data(), b.value().data(), r.grad.data(), ga.size());
@@ -304,7 +225,7 @@ Tensor mul(Tensor a, Tensor b) {
     }
   });
   auto& v = out.value();
-  simd::mul(kernels::simd_tier(), a.value().data(), b.value().data(), v.data(),
+  simd::mul(simd::active(), a.value().data(), b.value().data(), v.data(),
             v.size());
   return out;
 }
@@ -313,11 +234,11 @@ Tensor scale(Tensor a, double s) {
   Tensor out = make_op(a.shape(), {a}, [a, s](TensorData& r) mutable {
     if (!a.requires_grad()) return;
     auto& ga = a.grad();
-    simd::accumulate_scaled(kernels::simd_tier(), ga.data(), r.grad.data(), s,
+    simd::accumulate_scaled(simd::active(), ga.data(), r.grad.data(), s,
                             ga.size());
   });
   auto& v = out.value();
-  simd::scale(kernels::simd_tier(), a.value().data(), s, v.data(), v.size());
+  simd::scale(simd::active(), a.value().data(), s, v.data(), v.size());
   return out;
 }
 
@@ -325,10 +246,10 @@ Tensor add_scalar(Tensor a, double s) {
   Tensor out = make_op(a.shape(), {a}, [a](TensorData& r) mutable {
     if (!a.requires_grad()) return;
     auto& ga = a.grad();
-    simd::accumulate(kernels::simd_tier(), ga.data(), r.grad.data(), ga.size());
+    simd::accumulate(simd::active(), ga.data(), r.grad.data(), ga.size());
   });
   auto& v = out.value();
-  simd::add_scalar(kernels::simd_tier(), a.value().data(), s, v.data(), v.size());
+  simd::add_scalar(simd::active(), a.value().data(), s, v.data(), v.size());
   return out;
 }
 
@@ -417,7 +338,7 @@ Tensor concat_cols(std::vector<Tensor> parts) {
   }
 
   Tensor out = make_op({n, total_cols}, parts, [parts, n, total_cols](TensorData& r) mutable {
-    const simd::Tier tier = kernels::simd_tier();
+    const simd::Tier tier = simd::active();
     std::size_t col0 = 0;
     for (Tensor& t : parts) {
       const std::size_t c = t.cols();
@@ -454,7 +375,7 @@ Tensor gather_rows(Tensor x, const std::vector<std::size_t>& index) {
   Tensor out = make_op({index.size(), m}, {x}, [x, index, m](TensorData& r) mutable {
     if (!x.requires_grad()) return;
     auto& g = x.grad();
-    const simd::Tier tier = kernels::simd_tier();
+    const simd::Tier tier = simd::active();
     for (std::size_t i = 0; i < index.size(); ++i) {
       simd::accumulate(tier, g.data() + index[i] * m, r.grad.data() + i * m, m);
     }
@@ -483,7 +404,7 @@ Tensor scatter_mean(Tensor x, const std::vector<std::size_t>& index,
       make_op({num_targets, m}, {x}, [x, index, counts, m](TensorData& r) mutable {
         if (!x.requires_grad()) return;
         auto& g = x.grad();
-        const simd::Tier tier = kernels::simd_tier();
+        const simd::Tier tier = simd::active();
         for (std::size_t i = 0; i < index.size(); ++i) {
           const std::size_t t = index[i];
           simd::accumulate_scaled(tier, g.data() + i * m, r.grad.data() + t * m,
@@ -492,7 +413,7 @@ Tensor scatter_mean(Tensor x, const std::vector<std::size_t>& index,
       });
   auto& v = out.value();
   const auto& xv = x.value();
-  const simd::Tier tier = kernels::simd_tier();
+  const simd::Tier tier = simd::active();
   for (std::size_t i = 0; i < index.size(); ++i) {
     simd::accumulate(tier, v.data() + index[i] * m, xv.data() + i * m, m);
   }
@@ -510,7 +431,7 @@ Tensor reshape(Tensor x, std::vector<std::size_t> shape) {
   Tensor out = make_op(std::move(shape), {x}, [x](TensorData& r) mutable {
     if (!x.requires_grad()) return;
     auto& g = x.grad();
-    simd::accumulate(kernels::simd_tier(), g.data(), r.grad.data(), g.size());
+    simd::accumulate(simd::active(), g.data(), r.grad.data(), g.size());
   });
   out.value() = x.value();
   return out;
@@ -663,26 +584,7 @@ Tensor softmax_rows(Tensor logits) {
 
 // ---- Fused ops --------------------------------------------------------------
 
-namespace fused {
-
-namespace {
-std::atomic<bool> g_fused{true};
-}  // namespace
-
-bool set_enabled(bool enabled) {
-  return g_fused.exchange(enabled, std::memory_order_relaxed);
-}
-
-bool enabled() { return g_fused.load(std::memory_order_relaxed); }
-
-}  // namespace fused
-
 Tensor linear_tanh(Tensor x, Tensor w, Tensor b) {
-  if (!fused::enabled()) {
-    Tensor y = matmul(x, w);
-    if (b.defined()) y = add(y, b);
-    return tanh_op(y);
-  }
   SC_CHECK(x.dim() == 2 && w.dim() == 2, "linear_tanh requires 2-D x and w");
   const std::size_t n = x.rows(), k = x.cols(), m = w.cols();
   SC_CHECK(w.rows() == k,
@@ -712,28 +614,23 @@ Tensor linear_tanh(Tensor x, Tensor w, Tensor b) {
       // Same ascending-row update sequence per gb[j] as the scalar
       // `gb[i % m] += dz[i]` loop (matches add's row-broadcast backward).
       auto& gb = b.grad();
-      const simd::Tier tier = kernels::simd_tier();
+      const simd::Tier tier = simd::active();
       for (std::size_t row = 0; row < n; ++row) {
         simd::accumulate(tier, gb.data(), dz.data() + row * m, m);
       }
     }
   });
   // One fan-out for GEMM and epilogue: each panel computes its rows exactly as
-  // kernels::gemm_nn would (the same naive or blocked path, at the same SIMD
-  // tier), then applies bias+tanh to them. The tanh calls outweigh the GEMM.
+  // kernels::gemm_nn would (the same row kernel at the same SIMD tier), then
+  // applies bias+tanh to them. The tanh calls outweigh the GEMM.
   double* v = out.value().data();
   const double* xv = x.value().data();
   const double* wv = w.value().data();
   const double* bv = b.defined() ? b.value().data() : nullptr;
-  const bool blocked = kernels::blocked_enabled();
-  const simd::Tier tier = kernels::simd_tier();
+  const simd::Tier tier = simd::active();
   for_row_panels(n, n * m * (k + kTanhFlops), [=](std::size_t lo, std::size_t hi) {
-    if (blocked) {
-      std::fill(v + lo * m, v + hi * m, 0.0);
-      simd::gemm_nn_rows(tier, xv, wv, v, lo, hi, k, m);
-    } else {
-      kernels::gemm_nn_naive(xv + lo * k, wv, v + lo * m, hi - lo, k, m, false);
-    }
+    std::fill(v + lo * m, v + hi * m, 0.0);
+    simd::gemm_nn_rows(tier, xv, wv, v, lo, hi, k, m);
     for (std::size_t i = lo; i < hi; ++i) {
       double* row = v + i * m;
       if (bv != nullptr) {
@@ -748,11 +645,6 @@ Tensor linear_tanh(Tensor x, Tensor w, Tensor b) {
 
 Tensor gather_add_tanh(Tensor base, const std::vector<std::size_t>& index,
                        Tensor add_term) {
-  if (!fused::enabled()) {
-    Tensor msg = gather_rows(base, index);
-    if (add_term.defined()) msg = add(msg, add_term);
-    return tanh_op(msg);
-  }
   SC_CHECK(base.dim() == 2, "gather_add_tanh requires a 2-D base");
   const std::size_t m = base.cols();
   for (const std::size_t i : index) {
@@ -773,7 +665,7 @@ Tensor gather_add_tanh(Tensor base, const std::vector<std::size_t>& index,
                 for (std::size_t i = 0; i < dz.size(); ++i) {
                   dz[i] = (1.0 - r.value[i] * r.value[i]) * r.grad[i];
                 }
-                const simd::Tier tier = kernels::simd_tier();
+                const simd::Tier tier = simd::active();
                 if (base.requires_grad()) {
                   auto& g = base.grad();
                   for (std::size_t i = 0; i < index.size(); ++i) {
@@ -817,14 +709,6 @@ Tensor masked_logprob_sum(Tensor logits, std::vector<std::vector<int>> masks,
       SC_CHECK(a == 0 || a == 1, "masked_logprob_sum actions must be 0/1, got " << a);
     }
   }
-  if (!fused::enabled()) {
-    Tensor loss = Tensor::scalar(0.0);
-    for (std::size_t j = 0; j < masks.size(); ++j) {
-      loss = add(loss, scale(sum(bernoulli_log_prob(logits, masks[j])), coeffs[j]));
-    }
-    return scale(loss, final_scale);
-  }
-
   auto ms = std::make_shared<std::vector<std::vector<int>>>(std::move(masks));
   auto cs = std::make_shared<std::vector<double>>(std::move(coeffs));
   Tensor out =

@@ -11,10 +11,6 @@
 
 namespace sc::nn {
 
-namespace simd {
-enum class Tier : int;  // full definition in nn/simd.hpp
-}
-
 // ---- Elementwise ------------------------------------------------------------
 Tensor add(Tensor a, Tensor b);        ///< same shape, or b is a bias row
 Tensor sub(Tensor a, Tensor b);        ///< same shape
@@ -65,20 +61,12 @@ Tensor bernoulli_entropy(Tensor logits);
 Tensor softmax_rows(Tensor logits);
 
 // ---- Fused ops --------------------------------------------------------------
-// Each fused op computes the same composition of primitive ops in a single
-// pass (one result tensor, one backward node) instead of materialising every
-// intermediate. Values and gradients are bit-identical to the unfused
+// Each fused op computes a composition of primitive ops in a single pass (one
+// result tensor, one backward node) instead of materialising every
+// intermediate. Values and gradients are bit-identical to the primitive
 // composition: the element-wise arithmetic, the GEMM kernels invoked, and the
-// gradient accumulation order are all preserved exactly. `fused::set_enabled
-// (false)` routes every entry point through the primitive composition instead
-// (A/B benchmarking, like `kernels::set_blocked`).
-namespace fused {
-
-/// Toggles the fused paths (returns the previous setting). Default: enabled.
-bool set_enabled(bool enabled);
-bool enabled();
-
-}  // namespace fused
+// gradient accumulation order are all preserved exactly (tests/nn compare
+// them against the composition).
 
 /// tanh(x @ w + b) in one pass: GEMM + bias + tanh without materialising the
 /// pre-activation. `b` may be undefined (no bias term).
@@ -102,12 +90,11 @@ Tensor masked_logprob_sum(Tensor logits, std::vector<std::vector<int>> masks,
                           std::vector<double> coeffs, double final_scale = 1.0);
 
 // ---- Dense kernels ----------------------------------------------------------
-// Row-major GEMM microkernels used by matmul / matmul_nt forward and backward.
-// The default entry points dispatch to register-blocked kernels that fan row
-// panels out over ThreadPool::global() above a size threshold; results are
-// independent of the pool size (each output element is accumulated in a fixed
-// order by exactly one thread). set_blocked(false) routes everything through
-// the naive scalar loops instead (A/B benchmarking of the blocked path).
+// Row-major GEMM microkernels used by matmul / matmul_nt forward and backward:
+// register-blocked kernels at the SIMD tier simd::active() (nn/simd.hpp) that
+// fan row panels out over ThreadPool::global() above a size threshold.
+// Results are independent of the pool size (each output element is
+// accumulated in a fixed order by exactly one thread).
 namespace kernels {
 
 /// C (n,m) = (or +=) A (n,k) · B (k,m).
@@ -119,31 +106,6 @@ void gemm_nt(const double* a, const double* b, double* c, std::size_t n, std::si
 /// C (k,m) += A (n,k)^T · B (n,m).
 void gemm_tn(const double* a, const double* b, double* c, std::size_t n, std::size_t k,
              std::size_t m);
-
-/// Reference scalar kernels (same signatures); the blocked kernels must agree
-/// with these within 1e-12 per element.
-void gemm_nn_naive(const double* a, const double* b, double* c, std::size_t n,
-                   std::size_t k, std::size_t m, bool accumulate);
-void gemm_nt_naive(const double* a, const double* b, double* c, std::size_t n,
-                   std::size_t m, std::size_t k);
-void gemm_tn_naive(const double* a, const double* b, double* c, std::size_t n,
-                   std::size_t k, std::size_t m);
-
-/// Toggles the blocked + parallel path (returns the previous setting).
-bool set_blocked(bool enabled);
-bool blocked_enabled();
-
-/// Toggles SIMD dispatch of the blocked kernels and the element-wise tensor
-/// loops (returns the previous setting). Off routes everything through the
-/// scalar reference tier — the same A/B discipline as set_blocked. The tier
-/// actually used is simd::active() (runtime CPUID detection, capped by the
-/// SC_SIMD environment variable; see nn/simd.hpp). Default: enabled.
-bool set_simd(bool enabled);
-bool simd_enabled();
-
-/// Tier the next kernel call will dispatch on: simd::active() when the
-/// toggle is on, the scalar reference tier when it is off.
-simd::Tier simd_tier();
 
 }  // namespace kernels
 

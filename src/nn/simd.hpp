@@ -48,7 +48,7 @@ Tier detect();
 Tier active();
 
 /// Forces the active tier (clamped to detect()); returns the previous tier.
-/// Used by the A/B toggle and the parity tests.
+/// Used by the parity tests.
 Tier set_tier(Tier tier);
 
 const char* tier_name(Tier tier);

@@ -12,35 +12,6 @@ using graph::NodeId;
 using graph::WeightedEdge;
 using graph::WeightedGraph;
 
-std::vector<NodeId> heavy_edge_matching(const WeightedGraph& g, Rng& rng, double max_weight) {
-  const std::size_t n = g.num_nodes();
-  std::vector<NodeId> match(n, kInvalidNode);
-
-  // Global greedy: visit edges heaviest-first (random shuffle breaks weight
-  // ties non-deterministically across calls with different rngs) and match
-  // both endpoints when still free. Unlike visit-order HEM, this guarantees
-  // the heaviest edge in any neighbourhood is matched.
-  std::vector<graph::EdgeId> order(g.num_edges());
-  std::iota(order.begin(), order.end(), graph::EdgeId{0});
-  rng.shuffle(order);
-  std::stable_sort(order.begin(), order.end(), [&](graph::EdgeId x, graph::EdgeId y) {
-    return g.edge(x).weight > g.edge(y).weight;
-  });
-
-  for (const graph::EdgeId e : order) {
-    const NodeId a = g.edge(e).a;
-    const NodeId b = g.edge(e).b;
-    if (match[a] != kInvalidNode || match[b] != kInvalidNode) continue;
-    if (g.node_weight(a) + g.node_weight(b) > max_weight) continue;
-    match[a] = b;
-    match[b] = a;
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    if (match[v] == kInvalidNode) match[v] = v;  // stays single
-  }
-  return match;
-}
-
 // sc-lint: hot-path
 void heavy_edge_matching_ws(const WeightedGraph& g, Rng& rng, MatchScratch& scratch,
                             double max_weight) {
@@ -48,11 +19,12 @@ void heavy_edge_matching_ws(const WeightedGraph& g, Rng& rng, MatchScratch& scra
   const std::size_t m = g.num_edges();
   scratch.match.assign(n, kInvalidNode);
 
-  // Same semantics as heavy_edge_matching: shuffle, then order heaviest
-  // first with shuffled order breaking weight ties. stable_sort allocates a
-  // merge buffer, so the ws path sorts the equivalent total order (weight
-  // desc, shuffled rank asc) in place — a total order makes std::sort
-  // deterministic and equal to the stable_sort result.
+  // Shuffle, then order heaviest first with the shuffled order breaking
+  // weight ties. A stable_sort would allocate a merge buffer, so this sorts
+  // the equivalent total order (weight desc, shuffled rank asc) in place — a
+  // total order makes std::sort deterministic. Unlike visit-order HEM, the
+  // global order guarantees the heaviest edge in any neighbourhood is
+  // matched.
   scratch.order.resize(m);
   std::iota(scratch.order.begin(), scratch.order.end(), graph::EdgeId{0});
   rng.shuffle(scratch.order);
@@ -111,37 +83,6 @@ void contract_matching_ws(const WeightedGraph& g, const std::vector<NodeId>& mat
     edge_buf.push_back(WeightedEdge{a, b, e.weight});
   }
   out_coarse.rebuild(weight_buf, edge_buf, dedup);
-}
-
-Contraction contract_matching(const WeightedGraph& g, const std::vector<NodeId>& match) {
-  SC_CHECK(match.size() == g.num_nodes(), "matching size mismatch");
-  const std::size_t n = g.num_nodes();
-
-  Contraction c;
-  c.map.assign(n, kInvalidNode);
-  NodeId next = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    if (c.map[v] != kInvalidNode) continue;
-    const NodeId u = match[v];
-    SC_CHECK(u < n && (match[u] == v || u == v), "inconsistent matching at node " << v);
-    c.map[v] = next;
-    if (u != v) c.map[u] = next;
-    ++next;
-  }
-
-  std::vector<double> weights(next, 0.0);
-  for (NodeId v = 0; v < n; ++v) weights[c.map[v]] += g.node_weight(v);
-
-  std::vector<WeightedEdge> edges;
-  edges.reserve(g.num_edges());
-  for (const WeightedEdge& e : g.edges()) {
-    const NodeId a = c.map[e.a];
-    const NodeId b = c.map[e.b];
-    if (a == b) continue;
-    edges.push_back(WeightedEdge{a, b, e.weight});
-  }
-  c.coarse = WeightedGraph(std::move(weights), edges);
-  return c;
 }
 
 }  // namespace sc::partition

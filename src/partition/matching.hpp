@@ -11,40 +11,24 @@
 
 namespace sc::partition {
 
-/// Returns match[v] = partner of v (or v itself if unmatched). Nodes are
-/// visited in random order and matched to their heaviest unmatched neighbor.
+/// Computes scratch.match[v] = partner of v (or v itself if unmatched).
+/// Global greedy: edges are visited heaviest first, weight ties broken by a
+/// random shuffle drawn from `rng`, and both endpoints are matched when still
+/// free. Storage in `scratch` is reused across calls.
 ///
 /// `max_weight` caps the combined node weight of a matched pair: pairs that
 /// would exceed it stay unmatched. Without the cap, deep coarsening
 /// degenerates — a heavy supernode's accumulated edges are the heaviest in
 /// the graph, so it re-matches every level and snowballs until one coarse
 /// node holds nearly the whole graph (observed on 1M-node Huge inputs). The
-/// default (infinity) preserves the historical uncapped behavior.
-std::vector<graph::NodeId> heavy_edge_matching(
-    const graph::WeightedGraph& g, Rng& rng,
-    double max_weight = std::numeric_limits<double>::infinity());
-
-/// Workspace variant: identical RNG draws and resulting matching, but reuses
-/// `scratch` (result in scratch.match) and replaces the allocating
-/// stable_sort with an in-place sort over the equivalent total order
-/// (weight desc, shuffled rank asc).
+/// default (infinity) leaves pairs uncapped.
 void heavy_edge_matching_ws(const graph::WeightedGraph& g, Rng& rng, MatchScratch& scratch,
                             double max_weight = std::numeric_limits<double>::infinity());
 
-/// Result of contracting a matching (or any node->coarse label map).
-struct Contraction {
-  graph::WeightedGraph coarse;
-  std::vector<graph::NodeId> map;  ///< fine node -> coarse node
-};
-
 /// Contracts matched pairs into single coarse nodes (weights summed,
-/// parallel coarse edges merged).
-Contraction contract_matching(const graph::WeightedGraph& g,
-                              const std::vector<graph::NodeId>& match);
-
-/// Workspace variant of contract_matching: bit-identical coarse graph and
-/// map, written into caller-retained storage (out_coarse is rebuilt in
-/// place; weight_buf/edge_buf/dedup are scratch).
+/// parallel coarse edges merged), written into caller-retained storage:
+/// out_map[v] is v's coarse node and out_coarse is rebuilt in place;
+/// weight_buf/edge_buf/dedup are scratch.
 void contract_matching_ws(const graph::WeightedGraph& g,
                           const std::vector<graph::NodeId>& match,
                           std::vector<double>& weight_buf,

@@ -26,7 +26,6 @@ using graph::NodeId;
 using graph::WeightedEdge;
 using graph::WeightedGraph;
 
-std::atomic<bool> g_parallel_bisection{true};
 std::atomic<ThreadPool*> g_bisection_pool{nullptr};
 
 ThreadPool& bisection_pool() {
@@ -34,156 +33,15 @@ ThreadPool& bisection_pool() {
   return pool != nullptr ? *pool : ThreadPool::global();
 }
 
-/// Induced subgraph over `keep` (in order); returns graph + fine ids.
-struct SubGraph {
-  WeightedGraph g;
-  std::vector<NodeId> to_parent;
-};
-
-SubGraph induce(const WeightedGraph& g, const std::vector<NodeId>& keep) {
-  SC_ASSERT(!keep.empty(), "cannot induce an empty subgraph");
-  std::vector<NodeId> to_sub(g.num_nodes(), kInvalidNode);
-  std::vector<double> weights;
-  weights.reserve(keep.size());
-  for (std::size_t i = 0; i < keep.size(); ++i) {
-    // i < keep.size() <= num_nodes, already inside the 32-bit id space.
-    to_sub[keep[i]] = static_cast<NodeId>(i);  // sc-lint: allow(unchecked-id-narrowing)
-    weights.push_back(g.node_weight(keep[i]));
-  }
-  std::vector<WeightedEdge> edges;
-  for (const WeightedEdge& e : g.edges()) {
-    const NodeId a = to_sub[e.a];
-    const NodeId b = to_sub[e.b];
-    if (a == kInvalidNode || b == kInvalidNode) continue;
-    edges.push_back(WeightedEdge{a, b, e.weight});
-  }
-  return SubGraph{WeightedGraph(std::move(weights), edges), keep};
-}
-
-/// Greedy region growing: grows part 0 from a random seed toward target0,
-/// preferring nodes most strongly connected to the grown region.
-std::vector<int> grow_bisection(const WeightedGraph& g, double target0, Rng& rng) {
-  const std::size_t n = g.num_nodes();
-  std::vector<int> part(n, 1);
-  std::vector<double> conn(n, 0.0);  // connectivity to part 0
-  std::vector<bool> in0(n, false);
-
-  double w0 = 0.0;
-  // rng.index(n) < n, already inside the 32-bit id space.
-  NodeId seed = static_cast<NodeId>(rng.index(n));  // sc-lint: allow(unchecked-id-narrowing)
-  for (;;) {
-    // Add `seed` (or the best boundary candidate) to part 0.
-    part[seed] = 0;
-    in0[seed] = true;
-    w0 += g.node_weight(seed);
-    if (w0 >= target0) break;
-    for (const graph::EdgeId e : g.incident(seed)) {
-      const NodeId u = g.other(e, seed);
-      if (!in0[u]) conn[u] += g.edge(e).weight;
-    }
-    // Pick the most-connected unassigned node; fall back to any unassigned
-    // node (disconnected component) if the frontier is empty.
-    NodeId best = kInvalidNode;
-    double best_conn = -1.0;
-    for (NodeId v = 0; v < n; ++v) {
-      if (in0[v]) continue;
-      if (conn[v] > best_conn) {
-        best_conn = conn[v];
-        best = v;
-      }
-    }
-    if (best == kInvalidNode) break;  // everything assigned
-    seed = best;
-  }
-  return part;
-}
-
-std::vector<int> bisect(const WeightedGraph& g, double target0, double eps,
-                        std::size_t trials, std::size_t refine_passes, Rng& rng) {
-  std::vector<int> best;
-  double best_cut = std::numeric_limits<double>::infinity();
-  double best_bal = std::numeric_limits<double>::infinity();
-  for (std::size_t t = 0; t < std::max<std::size_t>(1, trials); ++t) {
-    std::vector<int> part = grow_bisection(g, target0, rng);
-    const double cut = fm_refine_bisection(g, part, target0, eps, refine_passes);
-    // Prefer lower cut; break ties toward balance against target0.
-    const auto w = part_weights(g, part, 2);
-    const double bal = std::abs(w[0] - target0);
-    if (cut < best_cut - 1e-12 || (std::abs(cut - best_cut) <= 1e-12 && bal < best_bal)) {
-      best_cut = cut;
-      best_bal = bal;
-      best = std::move(part);
-    }
-  }
-  return best;
-}
-
-/// Recursive bisection into parts labelled [label_base, label_base +
-/// fractions.size()), with part weights proportional to `fractions`.
-///
-/// `rng` is taken by value: each subtree consumes a private stream, and the
-/// two child streams are split() off the parent's after this node's draws.
-/// The draw sequence of any subtree therefore depends only on its path from
-/// the root — never on how its siblings are traversed or scheduled — which is
-/// what lets the workspace path fan subtrees out over a thread pool without
-/// changing results.
-void recursive_bisect(const WeightedGraph& g, const std::vector<double>& fractions,
-                      int label_base, double eps, std::size_t trials,
-                      std::size_t refine_passes, Rng rng,
-                      const std::vector<NodeId>& to_parent, std::vector<int>& out) {
-  const std::size_t k = fractions.size();
-  if (k <= 1) {
-    for (const NodeId v : to_parent) out[v] = label_base;
-    return;
-  }
-  const std::size_t k1 = k / 2;
-  double frac_total = 0.0, frac_first = 0.0;
-  for (std::size_t q = 0; q < k; ++q) {
-    frac_total += fractions[q];
-    if (q < k1) frac_first += fractions[q];
-  }
-  const double target0 = g.total_node_weight() * frac_first / frac_total;
-
-  std::vector<int> part = bisect(g, target0, eps, trials, refine_passes, rng);
-
-  std::vector<NodeId> side0, side1;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    (part[v] == 0 ? side0 : side1).push_back(v);
-  }
-  // Degenerate split (tiny graphs): fall back to round-robin.
-  if (side0.empty() || side1.empty()) {
-    for (std::size_t i = 0; i < g.num_nodes(); ++i) {
-      out[to_parent[i]] = label_base + static_cast<int>(i % k);
-    }
-    return;
-  }
-
-  SubGraph s0 = induce(g, side0);
-  SubGraph s1 = induce(g, side1);
-  // Lift sub ids back to the parent's id space for the recursion output.
-  std::vector<NodeId> lift0(s0.to_parent.size()), lift1(s1.to_parent.size());
-  for (std::size_t i = 0; i < s0.to_parent.size(); ++i) lift0[i] = to_parent[s0.to_parent[i]];
-  for (std::size_t i = 0; i < s1.to_parent.size(); ++i) lift1[i] = to_parent[s1.to_parent[i]];
-
-  const std::vector<double> frac0(fractions.begin(), fractions.begin() + static_cast<long>(k1));
-  const std::vector<double> frac1(fractions.begin() + static_cast<long>(k1), fractions.end());
-  Rng rng0 = rng.split();
-  Rng rng1 = rng.split();
-  recursive_bisect(s0.g, frac0, label_base, eps, trials, refine_passes, rng0, lift0, out);
-  recursive_bisect(s1.g, frac1, label_base + static_cast<int>(k1), eps, trials,
-                   refine_passes, rng1, lift1, out);
-}
-
 // ---------------------------------------------------------------------------
-// Workspace path (DESIGN.md §5.4): the same multilevel algorithm with every
-// intermediate (coarsening levels, bisection frames, induced subgraphs,
-// uncoarsening double buffer) reused from a per-thread PartitionWorkspace.
-// Bit-identical to the legacy path: same RNG draw sequence, same FP
-// accumulation orders, same tie-breaking.
+// Every intermediate of the multilevel algorithm (coarsening levels, bisection
+// frames, induced subgraphs, the uncoarsening double buffer) is reused from a
+// per-thread PartitionWorkspace (DESIGN.md §5.4), so after warm-up at a given
+// graph shape a partition allocates only its result.
 // ---------------------------------------------------------------------------
 
-/// induce() without the temporaries: builds `out` from the kept nodes via
-/// WeightedGraph::rebuild (bit-identical to the legacy constructor).
+/// Induced subgraph over `keep` (in order), built into `out` via
+/// WeightedGraph::rebuild; sub node i is keep[i].
 // sc-lint: hot-path
 void induce_into(const WeightedGraph& g, const std::vector<NodeId>& keep,
                  PartitionWorkspace& ws, WeightedGraph& out) {
@@ -207,14 +65,13 @@ void induce_into(const WeightedGraph& g, const std::vector<NodeId>& keep,
   out.rebuild(ws.weight_buf, ws.edge_buf, ws.dedup);
 }
 
-/// grow_bisection() with identical RNG draws and identical picks, but the
-/// per-add O(n) selection scan replaced by a lazy max-heap over
-/// (connectivity, node id). Connectivity only grows and every increase
+/// Greedy region growing: grows part 0 from a random seed toward target0,
+/// each step adding the unassigned node most strongly connected to the grown
+/// region (lowest id among equals). The choice comes from a lazy max-heap
+/// over (connectivity, node id): connectivity only grows and every increase
 /// pushes a fresh heap entry, so the freshest entry for a node always
 /// surfaces before its stale ones; stale or already-assigned entries are
-/// discarded on pop. The heap's (conn desc, id asc) order equals the legacy
-/// scan's first-wins (max conn, lowest id) choice, so the grown region —
-/// and everything downstream — is bit-identical.
+/// discarded on pop.
 // sc-lint: hot-path
 void grow_bisection_ws(const WeightedGraph& g, double target0, Rng& rng,
                        std::vector<int>& part, BisectFrame& f) {
@@ -226,9 +83,8 @@ void grow_bisection_ws(const WeightedGraph& g, double target0, Rng& rng,
   // (conn, id) max-heap over FRONTIER candidates only: higher conn first,
   // lower id first among equals. Non-frontier unassigned nodes all share
   // conn == 0 and lose to any frontier node (edge weights are positive), so
-  // the legacy scan only ever falls back to them when the frontier is empty
-  // — and then it picks the lowest unassigned id, which the monotone
-  // `fallback` cursor yields exactly.
+  // they are chosen only when the frontier is empty — and then the lowest
+  // unassigned id, which the monotone `fallback` cursor yields.
   const auto lower_priority = [](const std::pair<double, NodeId>& a,
                                  const std::pair<double, NodeId>& b) {
     if (a.first != b.first) return a.first < b.first;
@@ -256,9 +112,9 @@ void grow_bisection_ws(const WeightedGraph& g, double target0, Rng& rng,
     NodeId best = kInvalidNode;
     while (!f.grow_heap.empty()) {
       const auto [c, v] = f.grow_heap.front();
-      // A frontier entry with conn 0 would tie with non-frontier nodes under
-      // the legacy scan; route it through the lowest-id fallback instead of
-      // trusting heap order. (Possible only with zero-weight edges.)
+      // A frontier entry with conn 0 ties with non-frontier nodes; route it
+      // through the lowest-id fallback instead of trusting heap order.
+      // (Possible only with zero-weight edges.)
       if (c == 0.0) break;
       std::pop_heap(f.grow_heap.begin(), f.grow_heap.end(), lower_priority);
       f.grow_heap.pop_back();
@@ -268,7 +124,7 @@ void grow_bisection_ws(const WeightedGraph& g, double target0, Rng& rng,
     }
     if (best == kInvalidNode) {
       // Frontier empty (disconnected remainder or zero-weight ties): lowest
-      // unassigned id, exactly the legacy scan's choice among all-zero conn.
+      // unassigned id among the all-zero-conn nodes.
       while (fallback < n && f.in0[fallback] != 0) ++fallback;
       if (fallback >= n) break;  // everything assigned
       best = fallback;  // already a NodeId; no narrowing
@@ -277,9 +133,9 @@ void grow_bisection_ws(const WeightedGraph& g, double target0, Rng& rng,
   }
 }
 
-/// bisect() with the winner kept in f.part via buffer swap. The balance
-/// tie-break inlines part_weights()[0]: node weights accumulated in node
-/// order into a single accumulator — the same additions in the same order.
+/// Best of `trials` grown-and-FM-refined bisections, kept in f.part via
+/// buffer swap: lower cut wins, ties go to the better balance against
+/// target0.
 // sc-lint: hot-path
 void bisect_ws(const WeightedGraph& g, double target0, double eps, std::size_t trials,
                std::size_t refine_passes, Rng& rng, BisectFrame& f) {
@@ -302,10 +158,19 @@ void bisect_ws(const WeightedGraph& g, double target0, double eps, std::size_t t
   }
 }
 
-/// recursive_bisect() over frame-owned storage. Frames are indexed by depth:
-/// the two sibling recursions at depth+1 reuse the same frame sequentially,
-/// while this depth's subgraphs stay alive in its own frame. Same per-subtree
-/// split() RNG streams as the legacy recursion, so the two stay bit-identical.
+/// Recursive bisection into parts labelled [label_base, label_base +
+/// fractions.size()), with part weights proportional to `fractions`.
+///
+/// `rng` is taken by value: each subtree consumes a private stream, and the
+/// two child streams are split() off the parent's after this node's draws.
+/// The draw sequence of any subtree therefore depends only on its path from
+/// the root — never on how its siblings are traversed or scheduled — which is
+/// what lets recursive_bisect_parallel fan subtrees out over a thread pool
+/// without changing results.
+///
+/// Storage is frame-owned: frames are indexed by depth, the two sibling
+/// recursions at depth+1 reuse the same frame sequentially, and this depth's
+/// subgraphs stay alive in its own frame.
 void recursive_bisect_ws(const WeightedGraph& g, std::span<const double> fractions,
                          int label_base, double eps, std::size_t trials,
                          std::size_t refine_passes, Rng rng,
@@ -472,8 +337,9 @@ void recursive_bisect_parallel(ThreadPool& pool, const WeightedGraph& g,
   }
 }
 
-/// partition_attempt() over workspace storage; the result lives in ws.part_a
-/// (double-buffered against ws.part_b during uncoarsening).
+/// One multilevel attempt (coarsen, initial recursive bisection, uncoarsen
+/// with k-way refinement); the result lives in ws.part_a (double-buffered
+/// against ws.part_b during uncoarsening).
 // sc-lint: hot-path
 const std::vector<int>& partition_attempt_ws(const WeightedGraph& g,
                                              const std::vector<double>& fractions,
@@ -487,7 +353,7 @@ const std::vector<int>& partition_attempt_ws(const WeightedGraph& g,
       opts.coarsen_until > 0 ? opts.coarsen_until : std::max<std::size_t>(30, 8 * k);
 
   // Cap matched-pair weight at 3x the average final coarse node so a heavy
-  // supernode cannot snowball level after level (see heavy_edge_matching).
+  // supernode cannot snowball level after level (see heavy_edge_matching_ws).
   const double match_cap = 3.0 * g.total_node_weight() / static_cast<double>(stop);
 
   // ---- Coarsening (levels retained in the workspace) ----------------------
@@ -521,13 +387,12 @@ const std::vector<int>& partition_attempt_ws(const WeightedGraph& g,
     ws.identity.resize(cur->num_nodes());
     std::iota(ws.identity.begin(), ws.identity.end(), NodeId{0});
     // Both drivers receive the same split-off stream, and the parallel one is
-    // bit-identical by construction, so the toggle never changes results. The
-    // BFS driver is only engaged where it can actually fan out (off a worker
-    // thread, pool with >1 workers): the serial recursion reuses frames
-    // instead of allocating per-subtree jobs.
+    // bit-identical by construction. The BFS driver is only engaged where it
+    // can actually fan out (not on a pool worker or inside an InlineScope, and
+    // a pool with >1 workers): the serial recursion reuses frames instead of
+    // allocating per-subtree jobs.
     Rng init_rng = rng.split();
-    if (parallel_bisection_enabled() && !ThreadPool::in_worker() &&
-        bisection_pool().size() > 1) {
+    if (!ThreadPool::in_worker() && bisection_pool().size() > 1) {
       // The BFS driver allocates per-frontier job buffers — the price of
       // fanning subtrees out across the pool; the serial path stays clean.
       recursive_bisect_parallel(bisection_pool(), *cur, std::span<const double>(fractions),  // sc-lint: allow(transitive-alloc)
@@ -555,8 +420,9 @@ const std::vector<int>& partition_attempt_ws(const WeightedGraph& g,
   return ws.part_a;
 }
 
-/// partition() restarts loop over the workspace. The returned vector is the
-/// one API-boundary allocation (documented in DESIGN.md §5.4).
+/// partition() restarts loop: the lowest cut wins, ties go to the better
+/// balance. The returned vector is the one API-boundary allocation
+/// (documented in DESIGN.md §5.4).
 std::vector<int> partition_ws(const WeightedGraph& g, const std::vector<double>& fractions,
                               const PartitionOptions& opts) {
   PartitionWorkspace& ws = PartitionWorkspace::local();
@@ -592,14 +458,6 @@ std::vector<int> partition_ws(const WeightedGraph& g, const std::vector<double>&
 
 }  // namespace
 
-bool set_parallel_bisection(bool enabled) {
-  return g_parallel_bisection.exchange(enabled, std::memory_order_relaxed);
-}
-
-bool parallel_bisection_enabled() {
-  return g_parallel_bisection.load(std::memory_order_relaxed);
-}
-
 ThreadPool* set_parallel_bisection_pool(ThreadPool* pool) {
   return g_bisection_pool.exchange(pool, std::memory_order_acq_rel);
 }
@@ -607,14 +465,11 @@ ThreadPool* set_parallel_bisection_pool(ThreadPool* pool) {
 std::vector<int> MultilevelPartitioner::partition(const WeightedGraph& g,
                                                   std::size_t k) const {
   SC_CHECK(k >= 1, "k must be positive");
-  if (workspace::enabled()) {
-    // Reuse the workspace's fraction buffer for the uniform fractions (nothing
-    // below mutates it).
-    PartitionWorkspace& ws = PartitionWorkspace::local();
-    ws.fractions.assign(k, 1.0);
-    return partition(g, ws.fractions);
-  }
-  return partition(g, std::vector<double>(k, 1.0));
+  // Reuse the workspace's fraction buffer for the uniform fractions (nothing
+  // below mutates it).
+  PartitionWorkspace& ws = PartitionWorkspace::local();
+  ws.fractions.assign(k, 1.0);
+  return partition(g, ws.fractions);
 }
 
 std::vector<int> MultilevelPartitioner::partition(
@@ -624,86 +479,7 @@ std::vector<int> MultilevelPartitioner::partition(
     SC_CHECK(f > 0.0, "part fractions must be positive");
   }
   if (fractions.size() == 1) return std::vector<int>(g.num_nodes(), 0);
-  if (workspace::enabled()) return partition_ws(g, fractions, opts_);
-
-  std::vector<int> best;
-  double best_cut = std::numeric_limits<double>::infinity();
-  double best_imb = std::numeric_limits<double>::infinity();
-  const std::size_t restarts = std::max<std::size_t>(1, opts_.restarts);
-  for (std::size_t r = 0; r < restarts; ++r) {
-    std::vector<int> part = partition_attempt(g, fractions, opts_.seed + r * 7919);
-    const double cut = cut_weight(g, part);
-    const double imb = imbalance(g, part, fractions.size());
-    if (cut < best_cut - 1e-12 ||
-        (std::abs(cut - best_cut) <= 1e-12 && imb < best_imb)) {
-      best_cut = cut;
-      best_imb = imb;
-      best = std::move(part);
-    }
-  }
-  // Checked-build contract: every node assigned to an existing part.
-  SC_VALIDATE_AT(Deep, analysis::validate_partition(best, g.num_nodes(), fractions.size()));
-  return best;
-}
-
-std::vector<int> MultilevelPartitioner::partition_attempt(
-    const WeightedGraph& g, const std::vector<double>& fractions,
-    std::uint64_t seed) const {
-  const std::size_t k = fractions.size();
-
-  Rng rng(seed);
-  const std::size_t stop =
-      opts_.coarsen_until > 0 ? opts_.coarsen_until : std::max<std::size_t>(30, 8 * k);
-
-  // Cap matched-pair weight at 3x the average final coarse node so a heavy
-  // supernode cannot snowball level after level (see heavy_edge_matching).
-  const double match_cap = 3.0 * g.total_node_weight() / static_cast<double>(stop);
-
-  // ---- Coarsening ---------------------------------------------------------
-  std::vector<Contraction> levels;
-  const WeightedGraph* cur = &g;
-  while (cur->num_nodes() > stop) {
-    auto match = heavy_edge_matching(*cur, rng, match_cap);
-    Contraction c = contract_matching(*cur, match);
-    // Stop if matching no longer shrinks the graph meaningfully.
-    if (c.coarse.num_nodes() >= cur->num_nodes() * 95 / 100) break;
-    levels.push_back(std::move(c));
-    cur = &levels.back().coarse;
-  }
-
-  // Per-part absolute weight targets for refinement (capacity-proportional).
-  double frac_total = 0.0;
-  for (const double f : fractions) frac_total += f;
-  const auto targets_for = [&](const WeightedGraph& wg) {
-    std::vector<double> t(k);
-    for (std::size_t q = 0; q < k; ++q) {
-      t[q] = wg.total_node_weight() * fractions[q] / frac_total;
-    }
-    return t;
-  };
-
-  // ---- Initial partition on the coarsest graph ----------------------------
-  std::vector<int> part(cur->num_nodes(), 0);
-  {
-    std::vector<NodeId> identity(cur->num_nodes());
-    std::iota(identity.begin(), identity.end(), NodeId{0});
-    recursive_bisect(*cur, fractions, 0, opts_.imbalance_eps, opts_.bisection_trials,
-                     opts_.refine_passes, rng.split(), identity, part);
-    greedy_kway_refine(*cur, part, targets_for(*cur), opts_.imbalance_eps,
-                       opts_.refine_passes);
-  }
-
-  // ---- Uncoarsening with refinement ---------------------------------------
-  for (std::size_t lvl = levels.size(); lvl > 0; --lvl) {
-    const Contraction& c = levels[lvl - 1];
-    const WeightedGraph& fine = (lvl == 1) ? g : levels[lvl - 2].coarse;
-    std::vector<int> fine_part(fine.num_nodes());
-    for (NodeId v = 0; v < fine.num_nodes(); ++v) fine_part[v] = part[c.map[v]];
-    greedy_kway_refine(fine, fine_part, targets_for(fine), opts_.imbalance_eps,
-                       opts_.refine_passes);
-    part = std::move(fine_part);
-  }
-  return part;
+  return partition_ws(g, fractions, opts_);
 }
 
 std::vector<NodeId> MultilevelPartitioner::coarsen_to(const WeightedGraph& g,
@@ -721,40 +497,23 @@ std::vector<NodeId> MultilevelPartitioner::coarsen_to(const WeightedGraph& g,
   // node per level — quadratic time and a useless coarse graph.
   const double match_cap = 3.0 * g.total_node_weight() / static_cast<double>(target_nodes);
 
-  if (coarsen_ws::enabled()) {
-    // Workspace path: the matching/contraction pair reuses per-thread
-    // scratch and the coarse graphs ping-pong through two retained levels,
-    // so a deep coarsen (1M -> thousands, 100+ levels) stops allocating a
-    // matching, a Contraction and a coarse graph per level. Bit-identical to
-    // the allocating loop below: same rng stream, same no-progress rule,
-    // same map composition.
-    PartitionWorkspace& ws = PartitionWorkspace::local();
-    PartitionWorkspace::Level& a = ws.level(0);
-    PartitionWorkspace::Level& b = ws.level(1);
-    const WeightedGraph* cur = &g;
-    bool into_a = true;
-    while (cur->num_nodes() > target_nodes) {
-      heavy_edge_matching_ws(*cur, rng, ws.match, match_cap);
-      PartitionWorkspace::Level& lvl = into_a ? a : b;
-      contract_matching_ws(*cur, ws.match.match, ws.weight_buf, ws.edge_buf, ws.dedup,
-                           lvl.map, lvl.coarse);
-      if (lvl.coarse.num_nodes() == cur->num_nodes()) break;  // no progress
-      for (NodeId v = 0; v < map.size(); ++v) map[v] = lvl.map[map[v]];
-      cur = &lvl.coarse;
-      into_a = !into_a;
-    }
-    return map;
-  }
-
-  WeightedGraph cur_store;
+  // The matching/contraction pair reuses per-thread scratch and the coarse
+  // graphs ping-pong through two retained levels, so a deep coarsen (1M ->
+  // thousands, 100+ levels) allocates nothing per level.
+  PartitionWorkspace& ws = PartitionWorkspace::local();
+  PartitionWorkspace::Level& a = ws.level(0);
+  PartitionWorkspace::Level& b = ws.level(1);
   const WeightedGraph* cur = &g;
+  bool into_a = true;
   while (cur->num_nodes() > target_nodes) {
-    auto match = heavy_edge_matching(*cur, rng, match_cap);
-    Contraction c = contract_matching(*cur, match);
-    if (c.coarse.num_nodes() == cur->num_nodes()) break;  // no progress
-    for (NodeId v = 0; v < map.size(); ++v) map[v] = c.map[map[v]];
-    cur_store = std::move(c.coarse);
-    cur = &cur_store;
+    heavy_edge_matching_ws(*cur, rng, ws.match, match_cap);
+    PartitionWorkspace::Level& lvl = into_a ? a : b;
+    contract_matching_ws(*cur, ws.match.match, ws.weight_buf, ws.edge_buf, ws.dedup,
+                         lvl.map, lvl.coarse);
+    if (lvl.coarse.num_nodes() == cur->num_nodes()) break;  // no progress
+    for (NodeId v = 0; v < map.size(); ++v) map[v] = lvl.map[map[v]];
+    cur = &lvl.coarse;
+    into_a = !into_a;
   }
   return map;
 }

@@ -20,15 +20,13 @@ class ThreadPool;
 
 namespace sc::partition {
 
-/// Toggles fanning the independent subtrees of the initial recursive
-/// bisection out over a thread pool (workspace path only; DESIGN.md §5.5).
-/// Purely an execution-strategy switch: results are bit-identical on or off
-/// and independent of the pool size, because every subtree consumes a
-/// private split() RNG stream either way. Returns the previous setting.
-/// Default: enabled.
-bool set_parallel_bisection(bool enabled);
-bool parallel_bisection_enabled();
-
+/// The independent subtrees of the initial recursive bisection fan out over
+/// a thread pool (DESIGN.md §5.5), unless the caller is a pool worker or
+/// inside a ThreadPool::InlineScope, or the pool has one worker; then the
+/// bisection recurses serially. Results are bit-identical either way and
+/// independent of the pool size, because every subtree consumes a private
+/// split() RNG stream.
+///
 /// Test hook: overrides the pool used for parallel bisection (nullptr =
 /// ThreadPool::global()). Returns the previous override.
 ThreadPool* set_parallel_bisection_pool(ThreadPool* pool);
@@ -64,10 +62,6 @@ public:
   const PartitionOptions& options() const { return opts_; }
 
 private:
-  std::vector<int> partition_attempt(const graph::WeightedGraph& g,
-                                     const std::vector<double>& fractions,
-                                     std::uint64_t seed) const;
-
   PartitionOptions opts_;
 };
 

@@ -9,7 +9,6 @@
 
 #include "common/error.hpp"
 #include "partition/metrics.hpp"
-#include "partition/workspace.hpp"
 
 namespace sc::partition {
 
@@ -19,25 +18,17 @@ using graph::WeightedGraph;
 namespace {
 
 // ---------------------------------------------------------------------------
-// Bucketed FM gain structure (DESIGN.md §5.4).
+// FM move selection (DESIGN.md §5.4).
 //
-// Gains are doubles, so classic integer gain buckets do not apply directly.
-// Instead each gain is mapped to its order-preserving 64-bit pattern (flip
-// all bits of negatives, set the sign bit of non-negatives — the standard
-// monotone float ordering trick) and bucketed by the top 12 bits (sign +
-// exponent, 4096 buckets). Buckets hold intrusive doubly-linked lists with a
-// 64-word occupancy bitset, so locating the highest non-empty bucket is O(1)
-// word scans. Because the mapping is monotone, every gain in a lower bucket
-// is strictly smaller than every gain in a higher one, so scanning only the
-// topmost bucket that contains a balance-eligible node — picking the exact
-// (max gain, lowest id) inside it — reproduces the legacy full-scan
-// selection bit for bit. (Gains are never -0.0: accumulation starts at +0.0
-// and IEEE addition never produces -0.0 from a +0.0 accumulator, so equal
-// gains always share one bit pattern and therefore one bucket.)
+// Each FM step moves the unlocked, balance-eligible node of maximum gain,
+// lowest id among equals. Gains are doubles; each is mapped to its
+// order-preserving 64-bit pattern (flip all bits of negatives, set the sign
+// bit of non-negatives — the standard monotone float ordering trick), and the
+// argmax comes from a max-heap of (gain key, ~id) entries with lazy
+// invalidation. (Gains are never -0.0: accumulation starts at +0.0 and IEEE
+// addition never produces -0.0 from a +0.0 accumulator, so equal gains always
+// share one key.)
 // ---------------------------------------------------------------------------
-
-constexpr std::size_t kNumBuckets = 4096;
-constexpr std::int32_t kNil = -1;
 
 /// Order-preserving 64-bit pattern of a gain: a > b iff key(a) > key(b).
 std::uint64_t gain_key_bits(double gain) {
@@ -45,119 +36,27 @@ std::uint64_t gain_key_bits(double gain) {
   return (bits & 0x8000000000000000ULL) != 0 ? ~bits : (bits | 0x8000000000000000ULL);
 }
 
-int gain_bucket(double gain) { return static_cast<int>(gain_key_bits(gain) >> 52); }
-
 /// Lazy-heap entry: (gain key, ~id) so the max-heap order is gain descending
-/// with ties broken toward the LOWEST node id — the legacy scan's choice.
+/// with ties broken toward the LOWEST node id.
 using HeapEntry = std::pair<std::uint64_t, std::uint32_t>;
 
 struct FmScratch {
   std::vector<double> gain;
   std::vector<std::uint8_t> locked;
   std::vector<NodeId> moves;
-  std::vector<std::int32_t> head;       // bucket -> first node (kNil if empty)
-  std::vector<std::int32_t> next, prev; // intrusive per-node links
-  std::vector<std::int32_t> bucket_of;  // node -> its bucket (kNil if absent)
-  std::uint64_t occ[kNumBuckets / 64] = {};
-  std::uint64_t occ_sum = 0;  // bit w set iff occ[w] != 0 (two-level bitset)
   // Flat (neighbor, weight) adjacency copied once per bound graph, in the
-  // exact g.incident() edge order, so gain sums stay bit-identical while the
-  // inner loops read contiguous memory instead of chasing edge ids. `bound`
-  // is trusted only between an fm_refine_bind() and the next change to the
-  // graph object (bisect trial loops re-bind every time).
+  // exact g.incident() edge order, so gain sums are accumulated in a fixed
+  // order while the inner loops read contiguous memory instead of chasing
+  // edge ids. `bound` is trusted only between an fm_refine_bind() and the
+  // next change to the graph object (bisect trial loops re-bind every time).
   std::vector<std::int32_t> adj_off;
   std::vector<NodeId> adj_nbr;
   std::vector<double> adj_w;
   const WeightedGraph* bound = nullptr;
-  // Lazy-heap selection storage (fm_heap variant): `heap` holds live and
-  // stale entries, `stash` parks fresh-but-balance-ineligible entries popped
-  // while hunting for the step's pick.
+  // `heap` holds live and stale entries, `stash` parks fresh-but-balance-
+  // ineligible entries popped while hunting for the step's pick.
   std::vector<HeapEntry> heap;
   std::vector<HeapEntry> stash;
-
-  void reset(std::size_t n) {
-    gain.resize(n);  // every entry is overwritten before its first read
-    locked.assign(n, 0);
-    moves.clear();
-    if (moves.capacity() < n) moves.reserve(n);
-    // Lazy bucket clear: only buckets the previous pass actually occupied are
-    // touched (the two-level occupancy bitset knows which), not all 4096.
-    if (head.size() != kNumBuckets) {
-      head.assign(kNumBuckets, kNil);
-      std::fill(std::begin(occ), std::end(occ), 0);
-      occ_sum = 0;
-    } else {
-      std::uint64_t words = occ_sum;
-      while (words != 0) {
-        const std::size_t w = static_cast<std::size_t>(std::countr_zero(words));
-        words &= words - 1;
-        std::uint64_t bits = occ[w];
-        while (bits != 0) {
-          const int b = std::countr_zero(bits);
-          bits &= bits - 1;
-          head[w * 64 + static_cast<std::size_t>(b)] = kNil;
-        }
-        occ[w] = 0;
-      }
-      occ_sum = 0;
-    }
-    next.resize(n);  // insert() writes both links before any read
-    prev.resize(n);
-    bucket_of.assign(n, kNil);
-  }
-
-  void insert(NodeId v) {
-    const int b = gain_bucket(gain[v]);
-    bucket_of[v] = b;
-    prev[v] = kNil;
-    next[v] = head[b];
-    if (head[b] != kNil) prev[head[b]] = static_cast<std::int32_t>(v);
-    head[b] = static_cast<std::int32_t>(v);
-    occ[static_cast<std::size_t>(b) / 64] |= std::uint64_t{1} << (b % 64);
-    occ_sum |= std::uint64_t{1} << (static_cast<std::size_t>(b) / 64);
-  }
-
-  void remove(NodeId v) {
-    const int b = bucket_of[v];
-    if (b == kNil) return;
-    if (prev[v] != kNil) {
-      next[prev[v]] = next[v];
-    } else {
-      head[b] = next[v];
-      if (head[b] == kNil) {
-        const std::size_t w = static_cast<std::size_t>(b) / 64;
-        occ[w] &= ~(std::uint64_t{1} << (b % 64));
-        if (occ[w] == 0) occ_sum &= ~(std::uint64_t{1} << w);
-      }
-    }
-    if (next[v] != kNil) prev[next[v]] = prev[v];
-    bucket_of[v] = kNil;
-  }
-
-  /// Highest occupied bucket strictly below `from` (or the global highest
-  /// when from == kNumBuckets). O(1) via the two-level bitset: the summary
-  /// word locates the highest non-empty occupancy word directly instead of
-  /// walking all 64 words between gain clusters.
-  int highest_below(int from) const {
-    const std::size_t word = static_cast<std::size_t>(from) / 64;
-    const int bit = from % 64;
-    if (from < static_cast<int>(kNumBuckets) && bit > 0) {
-      const std::uint64_t masked = occ[word] & ((std::uint64_t{1} << bit) - 1);
-      if (masked != 0) {
-        return static_cast<int>(word * 64 + 63 - static_cast<std::size_t>(std::countl_zero(masked)));
-      }
-    }
-    // from == kNumBuckets means "global highest": every summary bit is below
-    // word 64, so the mask is all of occ_sum (1 << 64 would be UB).
-    const std::uint64_t sum_masked = word >= 64 ? occ_sum
-                                     : word == 0
-                                         ? 0
-                                         : occ_sum & ((std::uint64_t{1} << word) - 1);
-    if (sum_masked == 0) return kNil;
-    const std::size_t w = 63 - static_cast<std::size_t>(std::countl_zero(sum_masked));
-    return static_cast<int>(w * 64 + 63 -
-                            static_cast<std::size_t>(std::countl_zero(occ[w])));
-  }
 
   static FmScratch& local() {
     thread_local FmScratch scratch;
@@ -165,16 +64,15 @@ struct FmScratch {
   }
 };
 
-/// Copies (neighbor, weight) pairs in the exact g.incident() edge order —
-/// identical iteration order means bit-identical gain sums. Does NOT set
+/// Copies (neighbor, weight) pairs in the exact g.incident() edge order, so
+/// gain sums do not depend on whether the graph was bound. Does NOT set
 /// s.bound: only fm_refine_bind() may vouch that the graph object stays
 /// unchanged across calls.
 // sc-lint: hot-path
 void flatten_adjacency(const WeightedGraph& g, FmScratch& s) {
   const std::size_t n = g.num_nodes();
-  // adj_off is deliberately int32 (halves the scratch footprint, and bucket
-  // links share the type); the flattened incidence has 2m entries, so fail
-  // loudly instead of wrapping once 2m no longer fits. Huge-tier graphs reach
+  // adj_off is deliberately int32 (halves the scratch footprint); the
+  // flattened incidence has 2m entries, so fail loudly instead of wrapping once 2m no longer fits. Huge-tier graphs reach
   // FM only after coarsening, far below this bound.
   SC_CHECK(g.num_edges() <= (std::size_t{1} << 30),
            "FM refinement supports at most 2^30 edges (got " << g.num_edges() << ")");
@@ -195,147 +93,27 @@ void flatten_adjacency(const WeightedGraph& g, FmScratch& s) {
   }
 }
 
-/// Bucketed FM pass, bit-identical to the legacy full-scan variant: same
-/// move sequence, same rollback, same cut. Marked hot-path: after warm-up it
-/// allocates nothing.
+/// FM passes with rollback. Each step's best move comes from the lazy heap:
+/// every unlocked node always owns at least one FRESH entry (key ==
+/// gain_key_bits of its current gain) — seeded at pass start, re-pushed
+/// whenever a neighbor update changes the key, and restored from the stash
+/// when a pop finds it balance-ineligible. Pops arrive in globally decreasing
+/// key order, so the first fresh, unlocked, balance-eligible pop IS the
+/// (max gain, lowest id) choice. Stale entries (key mismatch) and locked
+/// nodes' entries are discarded on pop; an ABA re-push (gain returns to an
+/// old value) merely duplicates an identical key, which cannot change the
+/// argmax. Per-step cost is O((stale + stash + 1) log n). Marked hot-path:
+/// after warm-up it allocates nothing.
 // sc-lint: hot-path
-double fm_refine_bisection_buckets(const WeightedGraph& g, std::vector<int>& part,
-                                   double target0, double eps, std::size_t max_passes,
-                                   FmScratch& s) {
-  const std::size_t n = g.num_nodes();
-  const double total = g.total_node_weight();
-  const double target1 = total - target0;
-  double max_node_w = 0.0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    max_node_w = std::max(max_node_w, g.node_weight(v));
-  }
-  const double cap0 = (1.0 + eps) * std::max(target0, 1e-12);
-  const double cap1 = (1.0 + eps) * std::max(target1, 1e-12);
-  const double explore0 = std::max(cap0, target0 + max_node_w);
-  const double explore1 = std::max(cap1, target1 + max_node_w);
-
-  double side_w[2] = {0.0, 0.0};
-  for (NodeId v = 0; v < n; ++v) side_w[part[v]] += g.node_weight(v);
-
-  double cut = cut_weight(g, part);
-
-  if (s.bound != &g) flatten_adjacency(g, s);
-
-  const auto recompute_gain = [&](NodeId v) {
-    const int pv = part[v];
-    double gv = 0.0;
-    for (std::int32_t i = s.adj_off[v]; i < s.adj_off[v + 1]; ++i) {
-      const double w = s.adj_w[static_cast<std::size_t>(i)];
-      gv += (part[s.adj_nbr[static_cast<std::size_t>(i)]] != pv) ? w : -w;
-    }
-    s.gain[v] = gv;
-  };
-
-  for (std::size_t pass = 0; pass < max_passes; ++pass) {
-    s.reset(n);
-    for (NodeId v = 0; v < n; ++v) {
-      recompute_gain(v);
-      s.insert(v);
-    }
-    double best_cut = cut;
-    std::size_t best_prefix = 0;
-    double running = cut;
-
-    for (std::size_t step = 0; step < n; ++step) {
-      // Descend buckets until one yields a balance-eligible node; within it
-      // pick the exact (max gain, lowest id) — the legacy scan's choice.
-      NodeId pick = graph::kInvalidNode;
-      double pick_gain = 0.0;
-      for (int b = s.highest_below(static_cast<int>(kNumBuckets)); b != kNil;
-           b = s.highest_below(b)) {
-        for (std::int32_t cur = s.head[b]; cur != kNil; cur = s.next[cur]) {
-          // Bucket entries are node indices (< n) by construction; this is
-          // the FM inner loop, so skip the redundant range check.
-          const NodeId v = static_cast<NodeId>(cur);  // sc-lint: allow(unchecked-id-narrowing)
-          const int to = 1 - part[v];
-          const double new_w = side_w[to] + g.node_weight(v);
-          if ((to == 0 ? new_w > explore0 : new_w > explore1)) continue;
-          if (pick == graph::kInvalidNode || s.gain[v] > pick_gain ||
-              (s.gain[v] == pick_gain && v < pick)) {
-            pick = v;
-            pick_gain = s.gain[v];
-          }
-        }
-        if (pick != graph::kInvalidNode) break;
-      }
-      if (pick == graph::kInvalidNode) break;
-
-      const int from = part[pick];
-      const int to = 1 - from;
-      side_w[from] -= g.node_weight(pick);
-      side_w[to] += g.node_weight(pick);
-      part[pick] = to;
-      s.locked[pick] = 1;
-      s.remove(pick);
-      running -= pick_gain;
-      s.moves.push_back(pick);
-      // Locked neighbors' gains are dead values (never read again this pass;
-      // the next pass recomputes everything), so only live ones are refreshed
-      // — the legacy path recomputes them too, with identical outcome.
-      for (std::int32_t i = s.adj_off[pick]; i < s.adj_off[pick + 1]; ++i) {
-        const NodeId u = s.adj_nbr[static_cast<std::size_t>(i)];
-        if (s.locked[u] != 0) continue;
-        recompute_gain(u);
-        // Relink only on a bucket change: the pick loop scans the whole
-        // bucket, so within-bucket position cannot affect the selection.
-        if (gain_bucket(s.gain[u]) != s.bucket_of[u]) {
-          s.remove(u);
-          s.insert(u);
-        }
-      }
-      const bool feasible = side_w[0] <= cap0 + 1e-12 && side_w[1] <= cap1 + 1e-12;
-      if (feasible && running < best_cut - 1e-12) {
-        best_cut = running;
-        best_prefix = s.moves.size();
-      }
-    }
-
-    for (std::size_t i = s.moves.size(); i > best_prefix; --i) {
-      const NodeId v = s.moves[i - 1];
-      const int from = part[v];
-      const int to = 1 - from;
-      side_w[from] -= g.node_weight(v);
-      side_w[to] += g.node_weight(v);
-      part[v] = to;
-    }
-
-    if (best_cut >= cut - 1e-12) {
-      cut = best_cut;
-      break;
-    }
-    cut = best_cut;
-  }
-  return cut;
-}
-
-/// Lazy-heap FM pass (the fm_heap variant): the same prologue, rollback and
-/// convergence logic as fm_refine_bisection_buckets, but each step's best
-/// move comes from a max-heap of (gain key, ~id) entries with lazy
-/// invalidation instead of a scan of the topmost occupied gain bucket.
-///
-/// Decision identity: every unlocked node always owns at least one FRESH
-/// entry (key == gain_key_bits of its current gain) — seeded at pass start,
-/// re-pushed whenever a neighbor update changes the key, and restored from
-/// the stash when a pop finds it balance-ineligible. Pops arrive in globally
-/// decreasing key order, so the first fresh, unlocked, balance-eligible pop
-/// IS the (max gain, lowest id) choice of the legacy scan. Stale entries
-/// (key mismatch) and locked nodes' entries are discarded on pop; an ABA
-/// re-push (gain returns to an old value) merely duplicates an identical
-/// key, which cannot change the argmax. Per-step cost is
-/// O((stale + stash + 1) log n) against the bucket scan's O(population of
-/// the top bucket) — the dominant cost on bisection-heavy coarse graphs.
-// sc-lint: hot-path
-double fm_refine_bisection_heap(const WeightedGraph& g, std::vector<int>& part,
+double fm_refine_heap(const WeightedGraph& g, std::vector<int>& part,
                                 double target0, double eps, std::size_t max_passes,
                                 FmScratch& s) {
   const std::size_t n = g.num_nodes();
   const double total = g.total_node_weight();
   const double target1 = total - target0;
+  // Strict caps define which prefixes may be committed; exploratory caps let
+  // a pass walk through temporarily imbalanced states (classic FM behaviour —
+  // without this, a balanced-but-poor start has no legal first move).
   double max_node_w = 0.0;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     max_node_w = std::max(max_node_w, g.node_weight(v));
@@ -451,111 +229,8 @@ double fm_refine_bisection_heap(const WeightedGraph& g, std::vector<int>& part,
   return cut;
 }
 
-/// Legacy FM (full rescan per move), kept verbatim for the fm_buckets=off
-/// A/B baseline.
-double fm_refine_bisection_legacy(const WeightedGraph& g, std::vector<int>& part,
-                                  double target0, double eps, std::size_t max_passes) {
-  const std::size_t n = g.num_nodes();
-  const double total = g.total_node_weight();
-  const double target1 = total - target0;
-  // Strict caps define which prefixes may be committed; exploratory caps let
-  // a pass walk through temporarily imbalanced states (classic FM behaviour —
-  // without this, a balanced-but-poor start has no legal first move).
-  double max_node_w = 0.0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    max_node_w = std::max(max_node_w, g.node_weight(v));
-  }
-  const double cap0 = (1.0 + eps) * std::max(target0, 1e-12);
-  const double cap1 = (1.0 + eps) * std::max(target1, 1e-12);
-  const double explore0 = std::max(cap0, target0 + max_node_w);
-  const double explore1 = std::max(cap1, target1 + max_node_w);
-
-  double side_w[2] = {0.0, 0.0};
-  for (NodeId v = 0; v < n; ++v) side_w[part[v]] += g.node_weight(v);
-
-  double cut = cut_weight(g, part);
-
-  // gain[v] = cut reduction if v switches sides.
-  std::vector<double> gain(n, 0.0);
-  const auto recompute_gain = [&](NodeId v) {
-    double gv = 0.0;
-    for (const graph::EdgeId e : g.incident(v)) {
-      const NodeId u = g.other(e, v);
-      gv += (part[u] != part[v]) ? g.edge(e).weight : -g.edge(e).weight;
-    }
-    gain[v] = gv;
-  };
-
-  for (std::size_t pass = 0; pass < max_passes; ++pass) {
-    for (NodeId v = 0; v < n; ++v) recompute_gain(v);
-    std::vector<bool> locked(n, false);
-    std::vector<NodeId> moves;
-    moves.reserve(n);
-    double best_cut = cut;
-    std::size_t best_prefix = 0;
-    double running = cut;
-
-    for (std::size_t step = 0; step < n; ++step) {
-      // Best unlocked node whose move keeps the destination side within the
-      // exploratory bound.
-      NodeId pick = graph::kInvalidNode;
-      double pick_gain = -std::numeric_limits<double>::infinity();
-      for (NodeId v = 0; v < n; ++v) {
-        if (locked[v]) continue;
-        const int to = 1 - part[v];
-        const double new_w = side_w[to] + g.node_weight(v);
-        if ((to == 0 ? new_w > explore0 : new_w > explore1)) continue;
-        if (gain[v] > pick_gain) {
-          pick_gain = gain[v];
-          pick = v;
-        }
-      }
-      if (pick == graph::kInvalidNode) break;
-
-      // Tentatively move (FM allows negative-gain moves, rolled back later).
-      const int from = part[pick];
-      const int to = 1 - from;
-      side_w[from] -= g.node_weight(pick);
-      side_w[to] += g.node_weight(pick);
-      part[pick] = to;
-      locked[pick] = true;
-      running -= pick_gain;
-      moves.push_back(pick);
-      for (const graph::EdgeId e : g.incident(pick)) {
-        recompute_gain(g.other(e, pick));
-      }
-      // Only prefixes satisfying the strict balance caps may be committed.
-      const bool feasible = side_w[0] <= cap0 + 1e-12 && side_w[1] <= cap1 + 1e-12;
-      if (feasible && running < best_cut - 1e-12) {
-        best_cut = running;
-        best_prefix = moves.size();
-      }
-    }
-
-    // Roll back moves beyond the best prefix.
-    for (std::size_t i = moves.size(); i > best_prefix; --i) {
-      const NodeId v = moves[i - 1];
-      const int from = part[v];
-      const int to = 1 - from;
-      side_w[from] -= g.node_weight(v);
-      side_w[to] += g.node_weight(v);
-      part[v] = to;
-    }
-
-    if (best_cut >= cut - 1e-12) {
-      cut = best_cut;
-      break;  // no improvement this pass
-    }
-    cut = best_cut;
-  }
-  return cut;
-}
-
 // ---------------------------------------------------------------------------
-// Greedy k-way refinement. One implementation parameterised over its buffers:
-// the workspace path reuses a thread-local set, the legacy path allocates a
-// fresh set per call (preserving the old allocation profile for A/B runs).
-// Results are trivially bit-identical — it is the same code either way.
+// Greedy k-way refinement over a thread-local set of buffers.
 // ---------------------------------------------------------------------------
 
 struct KwayBuffers {
@@ -666,21 +341,10 @@ double greedy_kway_impl(const WeightedGraph& g, std::vector<int>& part,
 double fm_refine_bisection(const WeightedGraph& g, std::vector<int>& part,
                            double target0, double eps, std::size_t max_passes) {
   SC_CHECK(part.size() == g.num_nodes(), "partition size mismatch");
-  if (fm_buckets::enabled()) {
-    if (fm_heap::enabled()) {
-      return fm_refine_bisection_heap(g, part, target0, eps, max_passes,
-                                      FmScratch::local());
-    }
-    return fm_refine_bisection_buckets(g, part, target0, eps, max_passes,
-                                       FmScratch::local());
-  }
-  // The legacy path allocates per call by design: it is the fm_buckets=off
-  // A/B baseline whose cost the benchmarks measure against.
-  return fm_refine_bisection_legacy(g, part, target0, eps, max_passes);  // sc-lint: allow(transitive-alloc)
+  return fm_refine_heap(g, part, target0, eps, max_passes, FmScratch::local());
 }
 
 void fm_refine_bind(const WeightedGraph& g) {
-  if (!fm_buckets::enabled()) return;
   FmScratch& s = FmScratch::local();
   flatten_adjacency(g, s);
   s.bound = &g;
@@ -699,11 +363,7 @@ double greedy_kway_refine(const WeightedGraph& g, std::vector<int>& part, std::s
 double greedy_kway_refine(const WeightedGraph& g, std::vector<int>& part,
                           const std::vector<double>& targets, double eps,
                           std::size_t max_passes) {
-  if (workspace::enabled()) {
-    return greedy_kway_impl(g, part, targets, eps, max_passes, KwayBuffers::local());
-  }
-  KwayBuffers fresh;
-  return greedy_kway_impl(g, part, targets, eps, max_passes, fresh);
+  return greedy_kway_impl(g, part, targets, eps, max_passes, KwayBuffers::local());
 }
 
 }  // namespace sc::partition

@@ -15,12 +15,11 @@ namespace sc::partition {
 double fm_refine_bisection(const graph::WeightedGraph& g, std::vector<int>& part,
                            double target0, double eps, std::size_t max_passes = 8);
 
-/// Performance hint for the bucketed fast path: pre-flattens `g`'s adjacency
-/// into this thread's FM scratch so consecutive fm_refine_bisection() calls
-/// on the SAME graph object (e.g. the bisection trial loop) skip the rebuild.
-/// The caller must re-bind after mutating or replacing the graph; calls with
-/// a graph that is not the bound one are still correct (they build their own
-/// adjacency). No-op when the fm_buckets toggle is off.
+/// Performance hint: pre-flattens `g`'s adjacency into this thread's FM
+/// scratch so consecutive fm_refine_bisection() calls on the SAME graph
+/// object (e.g. the bisection trial loop) skip the rebuild. The caller must
+/// re-bind after mutating or replacing the graph; calls with a graph that is
+/// not the bound one are still correct (they build their own adjacency).
 void fm_refine_bind(const graph::WeightedGraph& g);
 
 /// Greedy boundary refinement on a k-way partition under the balance

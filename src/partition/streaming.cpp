@@ -18,23 +18,11 @@
 
 namespace sc::partition {
 
-namespace pipelined_streaming {
-
-namespace {
-std::atomic<bool> g_enabled{true};
-}  // namespace
-
-bool set_enabled(bool enabled) { return g_enabled.exchange(enabled, std::memory_order_relaxed); }
-
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-}  // namespace pipelined_streaming
-
 namespace {
 
 constexpr std::uint32_t kUnassigned = 0xFFFFFFFFu;
 
-/// Fixed speculation-block count for the pipelined refinement sweeps. A
+/// Fixed speculation-block count for the refinement sweeps. A
 /// constant (rather than the pool size) keeps the recorded candidate layout
 /// — and with it the commit replay — identical on every machine; the commit
 /// is exact regardless, this just makes the intermediate state stable too.
@@ -235,19 +223,6 @@ private:
 // sc-lint: streaming-path
 StreamingIngest streaming_read_csr(const std::string& path) {
   StreamingIngest out;
-  if (!pipelined_streaming::enabled()) {
-    out.graph = graph::read_csr(path, &out.read_stats);
-    // Serial arm: count after the read. Same commutative sums as the
-    // overlapped accumulator, so both arms hand identical degrees onward.
-    const std::size_t n = out.graph.num_nodes();
-    out.undirected_degree.assign(n, 0);
-    for (std::size_t v = 0; v < n; ++v) {
-      const graph::NodeId src = graph::checked_node_id(v);
-      out.undirected_degree[v] += out.graph.out(src).size();
-      for (const graph::NodeId d : out.graph.out(src)) ++out.undirected_degree[d];
-    }
-    return out;
-  }
   DegreeSink sink;
   out.graph = graph::read_csr(path, &out.read_stats, &sink);
   out.undirected_degree =
@@ -478,14 +453,15 @@ std::vector<int> streaming_partition(const graph::CsrGraph& g, const graph::CsrL
   // leaves easy gains on the table. Greedy sweeps move each node to its
   // highest-connectivity part when that strictly reduces the cut and the
   // destination stays under its capacity share — O(passes * m) time, O(n + k)
-  // extra memory, deterministic (sequential sweep in node-id order).
+  // extra memory, deterministic (the decisions of a sequential sweep in
+  // node-id order).
   //
-  // The pipelined arm runs each sweep speculate-then-commit: a fixed number
-  // of contiguous id blocks scan the frozen pass-start labels in parallel
-  // (reads only; block-local outputs — conflict-free ownership), then a
-  // serial id-order commit replays the serial sweep's decisions, rescanning
-  // any node whose neighborhood changed earlier in the pass. Bit-identical
-  // to the serial sweep at any block count or pool size; see DESIGN.md §9.
+  // Each sweep runs speculate-then-commit: a fixed number of contiguous id
+  // blocks scan the frozen pass-start labels in parallel (reads only;
+  // block-local outputs — conflict-free ownership), then an id-order commit
+  // on the calling thread replays the sequential sweep's decisions,
+  // rescanning any node whose neighborhood changed earlier in the pass.
+  // Identical results at any block count or pool size; see DESIGN.md §9.
   std::size_t refine_moves = 0;
   std::size_t spec_blocks = 0;
   if (opts.refine_passes > 0) {
@@ -504,38 +480,6 @@ std::vector<int> streaming_partition(const graph::CsrGraph& g, const graph::CsrL
     std::vector<int> touched;
     touched.reserve(k);
 
-    // One serial sweep over every node against the live labels/weights.
-    const auto serial_pass = [&]() {
-      std::size_t moves = 0;
-      for (std::size_t v = 0; v < n; ++v) {
-        const int cur = out[v];
-        for (std::uint64_t s = u.off[v]; s < u.off[v + 1]; ++s) {
-          const int p = out[u.nbr[s]];
-          if (pconn[p] == 0.0) touched.push_back(p);
-          pconn[p] += u.w[s];
-        }
-        int best = cur;
-        const double node_w = load.node_cpu[v];
-        for (const int p : touched) {
-          if (p == cur || pconn[p] <= pconn[cur]) continue;
-          if (part_w[p] + node_w > part_limit[p]) continue;
-          if (best == cur || pconn[p] > pconn[best] || (pconn[p] == pconn[best] && p < best)) {
-            best = p;
-          }
-        }
-        for (const int p : touched) pconn[p] = 0.0;
-        touched.clear();
-        if (best != cur) {
-          part_w[cur] -= node_w;
-          part_w[best] += node_w;
-          out[v] = best;
-          ++moves;
-        }
-      }
-      return moves;
-    };
-
-    const bool pipelined = pipelined_streaming::enabled();
     struct SpecCand {
       graph::NodeId v;
       std::uint32_t begin;  ///< [begin, end) into the block's entries
@@ -545,20 +489,20 @@ std::vector<int> streaming_partition(const graph::CsrGraph& g, const graph::CsrL
       std::vector<SpecCand> cands;
       std::vector<std::pair<int, double>> entries;  ///< (part, connectivity)
     };
-    const std::size_t B = pipelined ? std::min<std::size_t>(kRefineSpecBlocks, n) : 0;
+    const std::size_t B = std::min<std::size_t>(kRefineSpecBlocks, n);
     std::vector<SpecBlock> blocks(B);
-    std::vector<std::uint8_t> dirty;  // a neighbor moved earlier this pass
-    if (pipelined) dirty.assign(n, 0);
+    std::vector<std::uint8_t> dirty(n, 0);  // a neighbor moved earlier this pass
 
-    // Speculate-then-commit sweep, provably equal to serial_pass():
+    // Speculate-then-commit sweep, provably equal to a sequential sweep over
+    // the live labels and weights:
     //   - A *clean* candidate (no neighbor moved before its turn) has exact
     //     speculated connectivity — only balance needs the live part_w,
-    //     which the serial commit tracks exactly as the serial sweep does.
+    //     which the id-order commit tracks exactly.
     //   - A *dirty* node rescans its neighborhood against the live labels,
-    //     which IS the serial sweep's computation.
+    //     which IS the sequential sweep's computation.
     //   - A clean non-candidate has every neighbor in its own part, so the
-    //     serial sweep would not move it either.
-    const auto pipelined_pass = [&]() {
+    //     sequential sweep would not move it either.
+    const auto sweep = [&]() {
       pool.parallel_for(B, [&](std::size_t b) {
         SpecBlock& blk = blocks[b];
         blk.cands.clear();
@@ -652,7 +596,7 @@ std::vector<int> streaming_partition(const graph::CsrGraph& g, const graph::CsrL
 
     spec_blocks = B;
     for (std::size_t pass = 0; pass < opts.refine_passes; ++pass) {
-      const std::size_t moves = pipelined ? pipelined_pass() : serial_pass();
+      const std::size_t moves = sweep();
       refine_moves += moves;
       if (moves == 0) break;
     }

@@ -20,7 +20,7 @@
 //                 partition cannot see fine-grained boundaries).
 //
 // Memory stays O(n + m) with small constants (the CSR itself dominates);
-// bench_huge measures peak RSS against the in-memory path.
+// The huge-stream workload of bench/e2e reports peak RSS end to end.
 #pragma once
 
 #include <cstdint>
@@ -36,24 +36,6 @@ class ThreadPool;
 
 namespace sc::partition {
 
-/// Toggle for the pipelined streaming-tier path (default: enabled):
-///   - streaming_read_csr overlaps ingest with undirected-degree counting by
-///     feeding committed edge batches through a common::BoundedQueue to a
-///     background accumulator (sequence-numbered delivery; counting is
-///     commutative, so the totals are independent of batch boundaries and
-///     thread interleaving).
-///   - streaming_partition's boundary refinement runs speculate-then-commit:
-///     a fixed number of node blocks speculate moves in parallel against the
-///     frozen pass-start state, then a serial id-order commit re-validates
-///     every decision against live balance/neighbor state.
-/// Both are bit-identical to the serial path at any thread count; off =
-/// serial ingest + serial sweeps (the committed-benchmark baseline arm).
-namespace pipelined_streaming {
-/// Toggles the pipelined path (returns the previous setting).
-bool set_enabled(bool enabled);
-bool enabled();
-}  // namespace pipelined_streaming
-
 /// Result of the overlapped ingest: the CSR plus per-node undirected degree
 /// (out-degree + in-degree) accumulated concurrently with the read — the
 /// counting pass streaming_partition's adjacency build would otherwise redo
@@ -67,15 +49,17 @@ struct StreamingIngest {
 };
 
 /// Reads a CSR graph while a background thread accumulates per-node
-/// undirected degrees from the committed edge stream (pipelined_streaming
-/// toggle; the serial arm counts after the read — same sums either way).
-/// Pass `&result.undirected_degree` via StreamingOptions::undirected_degree
-/// to let streaming_partition skip its adjacency counting pass.
+/// undirected degrees from the committed edge stream: read_csr feeds
+/// committed edge batches through a common::BoundedQueue to the accumulator
+/// (sequence-numbered delivery; counting is commutative, so the totals are
+/// independent of batch boundaries and thread interleaving). Pass
+/// `&result.undirected_degree` via StreamingOptions::undirected_degree to let
+/// streaming_partition skip its adjacency counting pass.
 StreamingIngest streaming_read_csr(const std::string& path);
 
 struct StreamingOptions {
   /// Capacity of the prioritized streaming buffer (nodes). Smaller buffers
-  /// lower the footprint and the quality; bench_huge quantifies the trade.
+  /// lower the footprint and the quality.
   std::size_t buffer_nodes = 32768;
 
   /// Number of locality shards coarsened in parallel. 0 = auto (scales with
@@ -133,7 +117,7 @@ struct StreamingStats {
   /// selection and break bit-identity, so only the accounting is batched.
   std::size_t eviction_batches = 0;
 
-  /// Speculation blocks per refinement pass (0 = serial sweep arm).
+  /// Speculation blocks per refinement pass (0 when refinement is off).
   std::size_t refine_spec_blocks = 0;
 
   /// Per-stage wall times (seconds): buffer streaming (incl. adjacency

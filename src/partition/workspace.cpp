@@ -1,56 +1,6 @@
 #include "partition/workspace.hpp"
 
-#include <atomic>
-
 namespace sc::partition {
-
-namespace workspace {
-
-namespace {
-std::atomic<bool> g_enabled{true};
-}  // namespace
-
-bool set_enabled(bool enabled) { return g_enabled.exchange(enabled, std::memory_order_relaxed); }
-
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-}  // namespace workspace
-
-namespace fm_buckets {
-
-namespace {
-std::atomic<bool> g_enabled{true};
-}  // namespace
-
-bool set_enabled(bool enabled) { return g_enabled.exchange(enabled, std::memory_order_relaxed); }
-
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-}  // namespace fm_buckets
-
-namespace fm_heap {
-
-namespace {
-std::atomic<bool> g_enabled{true};
-}  // namespace
-
-bool set_enabled(bool enabled) { return g_enabled.exchange(enabled, std::memory_order_relaxed); }
-
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-}  // namespace fm_heap
-
-namespace coarsen_ws {
-
-namespace {
-std::atomic<bool> g_enabled{true};
-}  // namespace
-
-bool set_enabled(bool enabled) { return g_enabled.exchange(enabled, std::memory_order_relaxed); }
-
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-}  // namespace coarsen_ws
 
 PartitionWorkspace::Level& PartitionWorkspace::level(std::size_t i) {
   // Amortized lazy growth: a level is heap-allocated the first time that

@@ -7,13 +7,10 @@
 // of that storage alive across calls: coarsening levels and recursion frames
 // are unique_ptr-held (stable addresses while the containers grow) and every
 // buffer is reused via assign/clear, so after warm-up at a given graph shape
-// the partitioner performs no steady-state heap allocations. The fast paths
-// are bit-identical to the legacy ones and sit behind runtime toggles (same
-// pattern as nn::arena / nn::fused) so benchmarks can A/B them honestly.
+// the partitioner performs no steady-state heap allocations.
 //
 // Lock discipline (DESIGN.md §10): the retained workspaces are thread_local
-// (see workspace.cpp) and the toggles are relaxed atomics — no mutex, so no
-// capability annotations; the streaming shard loops that borrow per-thread
+// (see workspace.cpp) — no mutex, so no capability annotations; the streaming shard loops that borrow per-thread
 // workspaces are additionally kept lock-free by the sc_analyze
 // lock-in-shard-loop rule.
 #pragma once
@@ -26,49 +23,6 @@
 #include "graph/weighted_graph.hpp"
 
 namespace sc::partition {
-
-/// Toggle for the workspace-reusing partitioner paths (mlpart levels,
-/// bisection frames, k-way refinement buffers, coarsen-only placer order
-/// selection). Default: enabled. Off = legacy allocating paths.
-namespace workspace {
-/// Toggles the fast paths (returns the previous setting). Default: enabled.
-bool set_enabled(bool enabled);
-bool enabled();
-}  // namespace workspace
-
-/// Toggle for the bucketed FM gain structure in fm_refine_bisection
-/// (gain buckets + intrusive doubly-linked lists, O(1) best-move selection
-/// instead of a full rescan per move). Default: enabled.
-namespace fm_buckets {
-/// Toggles the bucketed path (returns the previous setting). Default: enabled.
-bool set_enabled(bool enabled);
-bool enabled();
-}  // namespace fm_buckets
-
-/// Toggle for lazy-heap FM move selection layered on top of fm_buckets'
-/// scratch: best-move picks pop a max-heap of (monotone gain bits, ~id)
-/// entries with lazy invalidation instead of scanning the topmost gain
-/// bucket's list. Decision-identical to both other variants (same move
-/// sequence, same cut); it only changes how the argmax is located, cutting
-/// the dominant per-step bucket-entry scan cost on bisection-heavy runs.
-/// Ignored when fm_buckets is off. Default: enabled.
-namespace fm_heap {
-/// Toggles the heap selection path (returns the previous setting).
-bool set_enabled(bool enabled);
-bool enabled();
-}  // namespace fm_heap
-
-/// Toggle for the workspace-reusing MultilevelPartitioner::coarsen_to loop
-/// (heavy_edge_matching_ws + contract_matching_ws ping-ponging two retained
-/// levels instead of allocating a matching, a Contraction, and a coarse
-/// graph per level). Bit-identical to the allocating loop; the streaming
-/// tier's shard coarsening runs it 100+ levels deep per shard, where the
-/// per-level allocations dominate. Default: enabled.
-namespace coarsen_ws {
-/// Toggles the workspace coarsen_to path (returns the previous setting).
-bool set_enabled(bool enabled);
-bool enabled();
-}  // namespace coarsen_ws
 
 /// Scratch for heavy_edge_matching_ws: the edge order, its shuffled rank
 /// (used to replace the allocating stable_sort with an in-place sort over a

@@ -44,12 +44,6 @@ ReinforceTrainer::ReinforceTrainer(gnn::CoarseningPolicy& policy,
   if (cfg_.metis_guidance) seed_metis_guidance();
 }
 
-Episode ReinforceTrainer::run_episode(const GraphContext& ctx,
-                                      const gnn::EdgeMask& mask) const {
-  return cfg_.episode_cache ? evaluate_mask_cached(ctx, mask, placer_)
-                            : evaluate_mask(ctx, mask, placer_);
-}
-
 ThreadPool& ReinforceTrainer::pool() const {
   return cfg_.pool != nullptr ? *cfg_.pool : ThreadPool::global();
 }
@@ -96,7 +90,7 @@ void ReinforceTrainer::seed_metis_guidance() {
     const auto mask_bits = graph::mask_from_groups(*ctx.graph, ctx.profile, groups);
     gnn::EdgeMask mask(mask_bits.size());
     for (std::size_t e = 0; e < mask.size(); ++e) mask[e] = mask_bits[e] ? 1 : 0;
-    seeds[i] = run_episode(ctx, mask);
+    seeds[i] = evaluate_mask_cached(ctx, mask, placer_);
   });
   for (std::size_t i = 0; i < seeds.size(); ++i) buffer_.insert(i, std::move(seeds[i]));
 }
@@ -128,13 +122,11 @@ EpochStats ReinforceTrainer::train_epoch() {
   // then evaluate all graph × sample pairs in a single parallel_for: the
   // per-graph sample count alone is often too small to fill the pool.
   //
-  // With batched_forward the epoch-start logits come from ONE block-diagonal
-  // encoder forward over every context (sliced per graph by edge offset);
-  // otherwise each graph runs its own no-grad forward inside the
-  // parallel_for. Both paths produce bit-identical logits, and the
-  // derive_seed streams make the sampled masks identical too.
+  // The epoch-start logits come from ONE block-diagonal encoder forward over
+  // every context (sliced per graph by edge offset), bit-identical to a
+  // per-graph forward.
   std::vector<std::vector<gnn::EdgeMask>> masks(num_graphs);
-  if (cfg_.batched_forward) {
+  {
     nn::NoGradGuard no_grad;
     const gnn::BatchedGraphFeatures& batch = batched_features();
     // Parameters are untouched between the previous epoch's greedy pass and
@@ -153,20 +145,6 @@ EpochStats ReinforceTrainer::train_epoch() {
       for (std::size_t s = 0; s < samples; ++s) {
         Rng sample_rng(derive_seed(epoch_seed, gi * samples + s));
         masks[gi].push_back(policy_.sample(vals, sample_rng));
-      }
-    });
-  } else {
-    pool().parallel_for(num_graphs, [&](std::size_t gi) {
-      nn::NoGradGuard no_grad;
-      const nn::Tensor logit_tensor = [&] {
-        prof::ScopedTimer timer(prof::Phase::Encode);
-        return policy_.logits(contexts_[gi].features);
-      }();
-      prof::ScopedTimer timer(prof::Phase::Sample);
-      masks[gi].reserve(samples);
-      for (std::size_t s = 0; s < samples; ++s) {
-        Rng sample_rng(derive_seed(epoch_seed, gi * samples + s));
-        masks[gi].push_back(policy_.sample(logit_tensor.value(), sample_rng));
       }
     });
   }
@@ -202,7 +180,8 @@ EpochStats ReinforceTrainer::train_epoch() {
   }
   pool().parallel_for(unique_jobs.size(), [&](std::size_t k) {
     const std::size_t idx = unique_jobs[k];
-    episodes[idx] = run_episode(contexts_[idx / samples], masks[idx / samples][idx % samples]);
+    episodes[idx] = evaluate_mask_cached(contexts_[idx / samples],
+                                         masks[idx / samples][idx % samples], placer_);
   });
   for (std::size_t idx = 0; idx < episodes.size(); ++idx) {
     if (canonical[idx] != idx) episodes[idx] = episodes[canonical[idx]];
@@ -272,14 +251,13 @@ EpochStats ReinforceTrainer::train_epoch() {
   stats.mean_best_reward /= n;
   stats.mean_loss /= n;
 
-  // 3. Greedy evaluation on the training graphs (cheap health signal). With
-  // batched_forward the end-of-epoch logits again come from one
-  // block-diagonal forward; either way a single logits pass per context
-  // yields both the greedy reward and the compression ratio. Once the policy
-  // stabilises the greedy mask repeats across epochs and this becomes a pure
-  // cache hit.
+  // 3. Greedy evaluation on the training graphs (cheap health signal). The
+  // end-of-epoch logits again come from one block-diagonal forward, which
+  // yields both the greedy reward and the compression ratio of every
+  // context. Once the policy stabilises the greedy mask repeats across
+  // epochs and this becomes a pure cache hit.
   std::vector<double> greedy_reward(num_graphs), greedy_compression(num_graphs);
-  if (cfg_.batched_forward) {
+  {
     nn::NoGradGuard no_grad;
     const gnn::BatchedGraphFeatures& batch = batched_features();
     // Carry these post-update logits into the next epoch's sampling pass
@@ -293,18 +271,7 @@ EpochStats ReinforceTrainer::train_epoch() {
     const std::vector<double>& batched_vals = logits_carry_;
     pool().parallel_for(num_graphs, [&](std::size_t i) {
       const std::vector<double> vals = gnn::logit_slice(batched_vals, batch, i);
-      const Episode ep = run_episode(contexts_[i], policy_.greedy(vals));
-      greedy_reward[i] = ep.reward;
-      greedy_compression[i] = ep.compression;
-    });
-  } else {
-    pool().parallel_for(num_graphs, [&](std::size_t i) {
-      nn::NoGradGuard no_grad;
-      const nn::Tensor logit_tensor = [&] {
-        prof::ScopedTimer timer(prof::Phase::Encode);
-        return policy_.logits(contexts_[i].features);
-      }();
-      const Episode ep = run_episode(contexts_[i], policy_.greedy(logit_tensor.value()));
+      const Episode ep = evaluate_mask_cached(contexts_[i], policy_.greedy(vals), placer_);
       greedy_reward[i] = ep.reward;
       greedy_compression[i] = ep.compression;
     });

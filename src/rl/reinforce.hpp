@@ -30,15 +30,6 @@ struct TrainerConfig {
   /// from saturating prematurely, stabilising long fine-tuning runs.
   double entropy_bonus = 0.0;
   partition::PartitionOptions partition_opts{};
-  /// Memoize evaluate_mask per context (see episode_cache.hpp). Off
-  /// re-evaluates every mask from scratch — only useful for A/B perf runs.
-  bool episode_cache = true;
-  /// Run the epoch-start sampling pass and the greedy health pass as a single
-  /// block-diagonal encoder forward over all contexts (see
-  /// gnn::BatchedGraphFeatures) instead of one forward per graph. Logits —
-  /// and therefore every epoch statistic — are bit-identical either way; off
-  /// is only useful for A/B perf runs.
-  bool batched_forward = true;
   /// Pool for mask evaluation fan-out; nullptr = ThreadPool::global(). Epoch
   /// stats are identical for any pool size at a fixed seed.
   ThreadPool* pool = nullptr;
@@ -97,9 +88,6 @@ public:
 
 private:
   void seed_metis_guidance();
-  /// evaluate_mask, memoized through the context's episode cache when
-  /// cfg_.episode_cache is on.
-  Episode run_episode(const GraphContext& ctx, const gnn::EdgeMask& mask) const;
   ThreadPool& pool() const;
   /// Lazily packs all contexts into one block-diagonal batch (features are
   /// per-graph constants, so this is built once and reused every epoch; the
@@ -123,8 +111,8 @@ private:
   /// do not change between the end of epoch e and the start of epoch e+1, so
   /// the next sampling pass reuses these values instead of rerunning the
   /// encoder — halving actor-side forwards in steady state, bit-identically.
-  /// Only the batched path carries; validity is re-checked against
-  /// params_fingerprint() so external parameter edits force a fresh forward.
+  /// Validity is re-checked against params_fingerprint() so external
+  /// parameter edits force a fresh forward.
   std::vector<double> logits_carry_;
   bool logits_carry_valid_ = false;
   std::uint64_t carry_fingerprint_ = 0;

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/profile.hpp"
-#include "graph/union_find.hpp"
 #include "nn/tensor.hpp"
 #include "partition/workspace.hpp"
 #include "rl/episode_cache.hpp"
@@ -41,14 +40,14 @@ sim::Placement place_timed(const CoarsePlacer& placer, const graph::Coarsening& 
   return placer(c, simulator);
 }
 
-/// coarsen_only_placer without the full edge sort: selects the heaviest
-/// edges in doubling batches with nth_element over the workspace's order
-/// buffer. The batch prefix is sorted with a (weight desc, id asc) total
-/// order — exactly the legacy stable_sort's order — so the union sequence,
-/// and therefore the placement, is bit-identical.
+/// coarsen_only_placer's body: merges the heaviest remaining coarse edges
+/// until the graph fits on the devices (the "merge until |V'| = |D|" rule
+/// from Table II), visiting edges in (weight desc, id asc) order. Instead of
+/// a full edge sort it selects the heaviest edges in doubling batches with
+/// nth_element over the workspace's order buffer and sorts only each batch.
 // sc-lint: hot-path
-sim::Placement coarsen_only_place_ws(const graph::Coarsening& c,
-                                     const sim::FluidSimulator& simulator) {
+sim::Placement coarsen_only_place(const graph::Coarsening& c,
+                                  const sim::FluidSimulator& simulator) {
   const std::size_t devices = simulator.spec().num_devices;
   const std::size_t n = c.coarse.num_nodes();
   partition::PartitionWorkspace& ws = partition::PartitionWorkspace::local();
@@ -118,20 +117,15 @@ sim::Placement coarsen_only_place_ws(const graph::Coarsening& c,
 
 }  // namespace
 
-const graph::Coarsening& contract_mask(const GraphContext& ctx, const gnn::EdgeMask& mask,
-                                       graph::Coarsening& legacy_storage) {
+const graph::Coarsening& contract_mask(const GraphContext& ctx, const gnn::EdgeMask& mask) {
   prof::ScopedTimer timer(prof::Phase::Contract);
-  if (graph::contraction_scratch::enabled()) {
-    SC_CHECK(mask.size() == ctx.graph->num_edges(), "mask size does not match edge count");
-    RewardWorkspace& ws = RewardWorkspace::local();
-    ws.bits.resize(mask.size());
-    for (std::size_t e = 0; e < mask.size(); ++e) ws.bits[e] = mask[e] != 0;
-    graph::contract_into(*ctx.graph, ctx.profile, ws.bits,
-                         graph::contraction_scratch::local(), ws.coarsening);
-    return ws.coarsening;
-  }
-  legacy_storage = gnn::CoarseningPolicy::apply(*ctx.graph, ctx.profile, mask);
-  return legacy_storage;
+  SC_CHECK(mask.size() == ctx.graph->num_edges(), "mask size does not match edge count");
+  RewardWorkspace& ws = RewardWorkspace::local();
+  ws.bits.resize(mask.size());
+  for (std::size_t e = 0; e < mask.size(); ++e) ws.bits[e] = mask[e] != 0;
+  graph::contract_into(*ctx.graph, ctx.profile, ws.bits, graph::contraction_scratch::local(),
+                       ws.coarsening);
+  return ws.coarsening;
 }
 
 CoarsePlacer metis_placer(const partition::PartitionOptions& opts) {
@@ -148,45 +142,7 @@ CoarsePlacer metis_oracle_placer(const partition::PartitionOptions& opts) {
   };
 }
 
-CoarsePlacer coarsen_only_placer() {
-  return [](const graph::Coarsening& c, const sim::FluidSimulator& simulator) {
-    if (partition::workspace::enabled()) return coarsen_only_place_ws(c, simulator);
-
-    const std::size_t devices = simulator.spec().num_devices;
-    const std::size_t n = c.coarse.num_nodes();
-
-    // Merge the heaviest remaining coarse edges until the graph fits on the
-    // devices (the "merge until |V'| = |D|" rule from Table II).
-    std::vector<int> coarse_device(n);
-    if (n <= devices) {
-      std::iota(coarse_device.begin(), coarse_device.end(), 0);
-    } else {
-      std::vector<graph::EdgeId> order(c.coarse.num_edges());
-      std::iota(order.begin(), order.end(), graph::EdgeId{0});
-      std::stable_sort(order.begin(), order.end(), [&](graph::EdgeId a, graph::EdgeId b) {
-        return c.coarse.edge(a).weight > c.coarse.edge(b).weight;
-      });
-      graph::UnionFind dsu(n);
-      for (const graph::EdgeId e : order) {
-        if (dsu.num_components() <= devices) break;
-        dsu.unite(c.coarse.edge(e).a, c.coarse.edge(e).b);
-      }
-      // Disconnected leftovers: merge smallest components arbitrarily.
-      // Assign devices round-robin over roots (over-assignments wrap).
-      std::vector<int> root_device(n, -1);
-      int next = 0;
-      for (std::size_t v = 0; v < n; ++v) {
-        const std::size_t root = dsu.find(v);
-        if (root_device[root] < 0) {
-          root_device[root] = next % static_cast<int>(devices);
-          ++next;
-        }
-        coarse_device[v] = root_device[root];
-      }
-    }
-    return c.expand_placement(coarse_device);
-  };
-}
+CoarsePlacer coarsen_only_placer() { return coarsen_only_place; }
 
 GraphContext::GraphContext(const graph::StreamGraph& g, const sim::ClusterSpec& spec)
     : graph(&g),
@@ -205,8 +161,7 @@ std::vector<GraphContext> make_contexts(const std::vector<graph::StreamGraph>& g
 
 Episode evaluate_mask(const GraphContext& ctx, const gnn::EdgeMask& mask,
                       const CoarsePlacer& placer) {
-  graph::Coarsening legacy_storage;
-  const graph::Coarsening& c = contract_mask(ctx, mask, legacy_storage);
+  const graph::Coarsening& c = contract_mask(ctx, mask);
   const sim::Placement p = place_timed(placer, c, ctx.simulator);
   Episode ep;
   ep.mask = mask;
@@ -232,8 +187,7 @@ sim::Placement allocate_with_policy(const gnn::CoarseningPolicy& policy,
   nn::NoGradGuard no_grad;
   const nn::Tensor logit_tensor = policy.logits(ctx.features);
   const gnn::EdgeMask mask = policy.greedy(logit_tensor.value());
-  graph::Coarsening legacy_storage;
-  const graph::Coarsening& c = contract_mask(ctx, mask, legacy_storage);
+  const graph::Coarsening& c = contract_mask(ctx, mask);
   return placer(c, ctx.simulator);
 }
 
@@ -265,8 +219,7 @@ sim::Placement allocate_with_policy_best_of(const gnn::CoarseningPolicy& policy,
       best_i = i;
     }
   }
-  graph::Coarsening legacy_storage;
-  const graph::Coarsening& c = contract_mask(ctx, masks[best_i], legacy_storage);
+  const graph::Coarsening& c = contract_mask(ctx, masks[best_i]);
   return placer(c, ctx.simulator);
 }
 

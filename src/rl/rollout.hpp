@@ -62,14 +62,20 @@ struct Episode {
   double compression = 1.0;   ///< |V| / |V'|
 };
 
-/// Contracts `mask` for `ctx`, preferring the allocation-free scratch fast
-/// path (DESIGN.md §5.4). The result lives either in a thread-local
-/// workspace (fast path) or in `legacy_storage` (toggle off); the returned
-/// reference stays valid until the next contraction on the calling thread.
-/// Exposed so callers outside the rollout loop (the serving tier) reuse the
-/// same retained-scratch path instead of re-allocating per request.
-const graph::Coarsening& contract_mask(const GraphContext& ctx, const gnn::EdgeMask& mask,
-                                       graph::Coarsening& legacy_storage);
+/// Contracts `mask` for `ctx` into a thread-local workspace without
+/// allocating after warm-up (DESIGN.md §5.4); the returned reference stays
+/// valid until the next contract_mask on the calling thread. Exposed so
+/// callers outside the rollout loop (the serving tier) reuse the same
+/// retained scratch instead of re-allocating per request.
+const graph::Coarsening& contract_mask(const GraphContext& ctx, const gnn::EdgeMask& mask);
+
+/// The three-argument form that bench/e2e/workload_train.cpp still calls;
+/// `storage` is not touched. Remove it once that caller passes two arguments.
+inline const graph::Coarsening& contract_mask(const GraphContext& ctx,
+                                              const gnn::EdgeMask& mask,
+                                              graph::Coarsening& /*storage*/) {
+  return contract_mask(ctx, mask);
+}
 
 /// Evaluates a mask end to end (contract, place, simulate).
 Episode evaluate_mask(const GraphContext& ctx, const gnn::EdgeMask& mask,

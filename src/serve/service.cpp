@@ -62,12 +62,10 @@ void AllocationService::worker_loop() {
   // reallocating once it has grown to max_batch.
   std::vector<Pending> batch;
   batch.reserve(cfg_.max_batch);
-  const std::size_t max_items = cfg_.batched ? cfg_.max_batch : 1;
-  const auto window =
-      std::chrono::microseconds(cfg_.batched ? cfg_.batch_window_us : 0);
+  const auto window = std::chrono::microseconds(cfg_.batch_window_us);
   for (;;) {
     batch.clear();
-    if (queue_.pop_batch(batch, max_items, window) == 0) return;
+    if (queue_.pop_batch(batch, cfg_.max_batch, window) == 0) return;
     process_batch(batch);
   }
 }
@@ -79,8 +77,7 @@ std::size_t AllocationService::pump() {
   std::size_t processed = 0;
   while (queue_.size() > 0) {
     batch.clear();
-    const std::size_t n = queue_.pop_batch(batch, cfg_.batched ? cfg_.max_batch : 1,
-                                           std::chrono::microseconds(0));
+    const std::size_t n = queue_.pop_batch(batch, cfg_.max_batch, std::chrono::microseconds(0));
     if (n == 0) break;
     process_batch(batch);
     processed += n;
@@ -126,14 +123,13 @@ void AllocationService::process_batch(std::vector<Pending>& batch) {
   nn::NoGradGuard no_grad;
 
   // Forward pass: one block-diagonal encoder forward for the whole batch
-  // (bit-identical per graph to running it alone — PR 2 invariant), or one
-  // forward per request when batching is toggled off. Requests that resolved
-  // to the same context share a single slot in the block-diagonal pack: the
+  // (bit-identical per graph to running it alone). Requests that resolved to
+  // the same context share a single slot in the block-diagonal pack: the
   // pack never carries the same features twice, so concurrent traffic for a
   // hot job pays one encoder forward per batch instead of one per request.
   std::vector<std::size_t> slot_of(n, n);        ///< request -> forward slot
   std::vector<std::vector<double>> slot_logits;  ///< per distinct context
-  if (cfg_.batched) {
+  {
     std::vector<const rl::GraphContext*> slot_ctx;
     std::vector<const gnn::GraphFeatures*> parts;
     for (std::size_t i = 0; i < n; ++i) {
@@ -160,13 +156,6 @@ void AllocationService::process_batch(std::vector<Pending>& batch) {
       for (std::size_t gi = 0; gi < parts.size(); ++gi) {
         slot_logits[gi] = gnn::logit_slice(logit_tensor.value(), b, gi);
       }
-    }
-  } else {
-    slot_logits.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!ctxs[i]) continue;
-      slot_logits[i] = policy_.logits(ctxs[i]->ctx.features).value();
-      slot_of[i] = i;
     }
   }
 
@@ -199,8 +188,7 @@ void AllocationService::process_batch(std::vector<Pending>& batch) {
       const std::uint64_t tail_key = rl::hash_mask(best_mask);
       std::shared_ptr<const TailResult> tail = ctxs[i]->tails.lookup(tail_key, best_mask);
       if (!tail) {
-        graph::Coarsening legacy_storage;
-        const graph::Coarsening& c = rl::contract_mask(ctx, best_mask, legacy_storage);
+        const graph::Coarsening& c = rl::contract_mask(ctx, best_mask);
         auto fresh = std::make_shared<TailResult>();
         fresh->placement = placer_(c, ctx.simulator);
         fresh->throughput = ctx.simulator.throughput(fresh->placement);

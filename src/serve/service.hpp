@@ -9,15 +9,15 @@
 //               per-request greedy mask (+ optional best-of-k through the
 //               context's EpisodeCache) → contract → place → respond
 //
-// Perf architecture (ISSUE 7 / ROADMAP item 1):
+// Perf architecture:
 //  - Admission is bounded: a full queue rejects the request at submit()
 //    (returns false, shed counter bumped) instead of growing a backlog.
 //  - Requests queued within one batching window share a single
-//    block-diagonal GNN forward; per-graph logits are bit-identical to the
-//    unbatched forward (PR 2 invariant), so batching changes latency and
+//    block-diagonal GNN forward; per-graph logits are bit-identical to a
+//    single-graph forward, so batching (max_batch > 1) changes latency and
 //    throughput but never results.
 //  - Workers retain their pop buffers; contraction/partitioning reuse the
-//    thread-local scratch/workspace fast paths (PR 5) via rl::contract_mask.
+//    thread-local scratch and workspaces via rl::contract_mask.
 //  - Per-(graph, spec) state is leased from a shared ContextCache whose
 //    entries each hold a capacity-bounded EpisodeCache.
 //  - stop() closes admission and drains: every accepted request is answered
@@ -77,9 +77,8 @@ using ResponseFn = std::function<void(AllocResponse)>;
 struct ServeConfig {
   std::size_t workers = 1;          ///< 0 = no threads; caller drives via pump()
   std::size_t queue_depth = 256;    ///< admission bound (shed beyond this)
-  std::size_t max_batch = 16;       ///< batching window size cap
+  std::size_t max_batch = 16;       ///< batching window size cap (1 = unbatched)
   std::size_t batch_window_us = 200;  ///< wait past first request for stragglers
-  bool batched = true;              ///< A/B toggle: cross-request batched forward
   std::size_t context_cache_capacity = 64;
   std::size_t episode_cache_capacity = rl::EpisodeCache::kDefaultCapacity;
 };

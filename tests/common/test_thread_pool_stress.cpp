@@ -20,12 +20,10 @@
 #include "gen/generator.hpp"
 #include "gnn/features.hpp"
 #include "gnn/policy.hpp"
-#include "graph/contraction.hpp"
 #include "graph/rates.hpp"
 #include "graph/weighted_graph.hpp"
 #include "nn/ops.hpp"
 #include "partition/mlpart.hpp"
-#include "partition/workspace.hpp"
 #include "rl/episode_cache.hpp"
 #include "rl/reinforce.hpp"
 
@@ -206,7 +204,7 @@ TEST(RewardHotPathStress, WorkspaceChurnAcrossThreads) {
   // a mask on a graph whose size differs from the previous task's, so every
   // worker's buffers shrink and grow continuously. Workspaces are per-thread
   // by construction — TSan verifies no state actually leaks across workers —
-  // and the rewards must match a serial legacy-path evaluation exactly.
+  // and the rewards must match a serial, in-order evaluation exactly.
   gen::GeneratorConfig big_cfg;
   big_cfg.topology.min_nodes = 50;
   big_cfg.topology.max_nodes = 80;
@@ -236,17 +234,14 @@ TEST(RewardHotPathStress, WorkspaceChurnAcrossThreads) {
     }
   }
 
-  std::vector<double> serial_legacy(items.size());
+  // Reference: every item evaluated in order on this thread, with nothing
+  // fanned out.
+  std::vector<double> serial(items.size());
   {
-    const bool ps = graph::contraction_scratch::set_enabled(false);
-    const bool pw = partition::workspace::set_enabled(false);
-    const bool pf = partition::fm_buckets::set_enabled(false);
+    const ThreadPool::InlineScope inline_scope;
     for (std::size_t i = 0; i < items.size(); ++i) {
-      serial_legacy[i] = rl::evaluate_mask(contexts[items[i].ctx], items[i].mask, placer).reward;
+      serial[i] = rl::evaluate_mask(contexts[items[i].ctx], items[i].mask, placer).reward;
     }
-    graph::contraction_scratch::set_enabled(ps);
-    partition::workspace::set_enabled(pw);
-    partition::fm_buckets::set_enabled(pf);
   }
 
   ThreadPool pool(4);
@@ -257,7 +252,7 @@ TEST(RewardHotPathStress, WorkspaceChurnAcrossThreads) {
     });
   }
   for (std::size_t i = 0; i < items.size(); ++i) {
-    EXPECT_EQ(parallel_fast[i], serial_legacy[i]) << "item " << i;
+    EXPECT_EQ(parallel_fast[i], serial[i]) << "item " << i;
   }
 }
 
@@ -286,7 +281,6 @@ TEST(ParallelBisectionStress, ConcurrentSubtreeWorkspaces) {
 
   ThreadPool pool(4);
   ThreadPool* prev_pool = partition::set_parallel_bisection_pool(&pool);
-  const bool prev_on = partition::set_parallel_bisection(true);
   partition::PartitionOptions opts;
   opts.seed = 11;
   const partition::MultilevelPartitioner part(opts);
@@ -301,7 +295,6 @@ TEST(ParallelBisectionStress, ConcurrentSubtreeWorkspaces) {
     });
   }
   for (std::thread& t : callers) t.join();
-  partition::set_parallel_bisection(prev_on);
   partition::set_parallel_bisection_pool(prev_pool);
 
   for (std::size_t c = 0; c < kCallers; ++c) {
@@ -325,8 +318,6 @@ TEST(TrainEpochStress, ParallelEpochsSharedPool) {
   rl::TrainerConfig cfg;
   cfg.seed = 17;
   cfg.pool = &pool;
-  cfg.episode_cache = true;
-  cfg.batched_forward = true;
   rl::ReinforceTrainer trainer(policy, contexts, rl::metis_placer(), cfg);
 
   double best = 0.0;

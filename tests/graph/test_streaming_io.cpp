@@ -44,23 +44,26 @@ fs::path save_temp(const std::vector<StreamGraph>& graphs, const char* tag) {
   return path;
 }
 
-/// RAII restore of every ingest knob (arm toggle, chunk size, pool override).
+/// RAII restore of every ingest knob (chunk size, pool override).
 class IngestConfigGuard {
 public:
-  IngestConfigGuard() : prev_enabled_(parallel_ingest::enabled()) {}
+  IngestConfigGuard() = default;
   ~IngestConfigGuard() {
-    parallel_ingest::set_enabled(prev_enabled_);
     set_ingest_chunk_bytes(0);
     set_ingest_pool(nullptr);
   }
   IngestConfigGuard(const IngestConfigGuard&) = delete;
   IngestConfigGuard& operator=(const IngestConfigGuard&) = delete;
-
-private:
-  bool prev_enabled_;
 };
 
-/// Bit-exact CsrGraph comparison (slot layout included): the pipelined arm
+/// read_csr as a pool worker calls it: inside an InlineScope the reader never
+/// fans out and takes the serial two-pass scan.
+CsrGraph read_serial(const fs::path& path, StreamingReadStats* stats = nullptr) {
+  const ThreadPool::InlineScope inline_scope;
+  return read_csr(path.string(), stats);
+}
+
+/// Bit-exact CsrGraph comparison (slot layout included): the pipelined reader
 /// must be indistinguishable from the serial scan, not merely isomorphic.
 void expect_identical(const CsrGraph& a, const CsrGraph& b) {
   ASSERT_EQ(a.num_nodes(), b.num_nodes());
@@ -81,10 +84,15 @@ void expect_identical(const CsrGraph& a, const CsrGraph& b) {
   }
 }
 
-/// Runs read_csr and returns the thrown message ("" when it succeeds).
-std::string read_error(const fs::path& path) {
+/// Runs read_csr (the serial reader when `serial`) and returns the thrown
+/// message ("" when it succeeds).
+std::string read_error(const fs::path& path, bool serial = false) {
   try {
-    read_csr(path.string());
+    if (serial) {
+      read_serial(path);
+    } else {
+      read_csr(path.string());
+    }
   } catch (const Error& e) {
     return e.what();
   }
@@ -92,7 +100,7 @@ std::string read_error(const fs::path& path) {
 }
 
 /// SC_CHECK messages are '<file>:<line>: check failed: <cond> — <text>'; the
-/// two arms throw from different call sites, so only <text> — the part a user
+/// two readers throw from different call sites, so only <text> — the part a user
 /// acts on — is required to match.
 std::string error_text(const std::string& what) {
   const std::size_t pos = what.rfind(" — ");
@@ -159,17 +167,15 @@ TEST(StreamingIo, ReportsIngestStats) {
   const fs::path path = save_temp({test::make_chain(5)}, "stats");
   const std::uint64_t file_size = fs::file_size(path);
 
-  // Serial arm: two full passes over the file through the bounded buffer.
-  parallel_ingest::set_enabled(false);
+  // Serial reader: two full passes over the file through the bounded buffer.
   StreamingReadStats serial;
-  EXPECT_EQ(read_csr(path.string(), &serial).num_nodes(), 5u);
+  EXPECT_EQ(read_serial(path, &serial).num_nodes(), 5u);
   EXPECT_EQ(serial.passes, 2u);
   EXPECT_GT(serial.buffer_bytes, 0u);
   EXPECT_EQ(serial.bytes_read, 2 * file_size);
   EXPECT_EQ(serial.chunks, 0u);
 
-  // Pipelined arm: a single pass, chunked through the parse queue.
-  parallel_ingest::set_enabled(true);
+  // Pipelined reader: a single pass, chunked through the parse queue.
   StreamingReadStats piped;
   EXPECT_EQ(read_csr(path.string(), &piped).num_nodes(), 5u);
   fs::remove(path);
@@ -204,10 +210,8 @@ TEST(StreamingIo, PipelinedMatchesSerialOnGeneratedGraph) {
   const auto graphs = gen::generate_graphs(cfg, 1, 0xC0FFEEu, "ident/");
   const fs::path path = save_temp(graphs, "identity");
 
-  parallel_ingest::set_enabled(false);
-  const CsrGraph serial = read_csr(path.string());
+  const CsrGraph serial = read_serial(path);
 
-  parallel_ingest::set_enabled(true);
   for (const std::size_t workers : {1u, 2u, 8u}) {
     ThreadPool pool(workers);
     set_ingest_pool(&pool);
@@ -233,10 +237,8 @@ TEST(StreamingIo, TinyChunksStitchAcrossBoundaries) {
       "edges 2\n0 1 8.0 1.0\n1 2 16.0 0.5\nend\n";
   const fs::path path = write_temp(text, "stitch");
 
-  parallel_ingest::set_enabled(false);
-  const CsrGraph serial = read_csr(path.string());
+  const CsrGraph serial = read_serial(path);
 
-  parallel_ingest::set_enabled(true);
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{7}}) {
     set_ingest_chunk_bytes(chunk);
     StreamingReadStats stats;
@@ -246,13 +248,15 @@ TEST(StreamingIo, TinyChunksStitchAcrossBoundaries) {
     // A 1-byte chunk assembles each line inside the read-ahead loop (every
     // fill ends exactly at a newline), so only larger chunks leave a partial
     // line behind to stitch.
-    if (chunk > 1) EXPECT_GT(stats.stitches, 0u);
+    if (chunk > 1) {
+      EXPECT_GT(stats.stitches, 0u);
+    }
     EXPECT_GT(stats.chunks, 1u);
   }
   fs::remove(path);
 }
 
-// A final line without a trailing newline must parse in both arms (the
+// A final line without a trailing newline must parse in both readers (the
 // generator always terminates files, but hand-written inputs may not).
 TEST(StreamingIo, HandlesMissingTrailingNewline) {
   IngestConfigGuard guard;
@@ -260,9 +264,7 @@ TEST(StreamingIo, HandlesMissingTrailingNewline) {
       "streamgraph t\nnodes 2\n1.0 1.0\n2.0 0.5\nedges 1\n0 1 8.0 1.0\nend";
   const fs::path path = write_temp(text, "nonewline");
 
-  parallel_ingest::set_enabled(false);
-  const CsrGraph serial = read_csr(path.string());
-  parallel_ingest::set_enabled(true);
+  const CsrGraph serial = read_serial(path);
   for (const std::size_t chunk : {std::size_t{0}, std::size_t{5}}) {
     set_ingest_chunk_bytes(chunk);
     const CsrGraph piped = read_csr(path.string());
@@ -273,7 +275,7 @@ TEST(StreamingIo, HandlesMissingTrailingNewline) {
 }
 
 // Content after the first graph's 'end' (including text that is not a valid
-// graph) is ignored by both arms — read_csr reads the FIRST graph only, so
+// graph) is ignored by both readers — read_csr reads the FIRST graph only, so
 // parse workers speculating past 'end' must have their results discarded.
 TEST(StreamingIo, IgnoresTrailingGarbageAfterEnd) {
   IngestConfigGuard guard;
@@ -281,21 +283,19 @@ TEST(StreamingIo, IgnoresTrailingGarbageAfterEnd) {
       "streamgraph t\nnodes 1\n1.0 1.0\nedges 0\nend\n"
       "this is not a graph\n@#!$\n";
   const fs::path path = write_temp(text, "trailing");
-  for (const bool piped : {false, true}) {
-    parallel_ingest::set_enabled(piped);
-    const CsrGraph c = read_csr(path.string());
-    EXPECT_EQ(c.num_nodes(), 1u) << "pipelined=" << piped;
-  }
+  EXPECT_EQ(read_serial(path).num_nodes(), 1u);
+  EXPECT_EQ(read_csr(path.string()).num_nodes(), 1u);
   fs::remove(path);
 }
 
 // Hostile/corrupt-input table: the reader must throw a named sc::Error before
 // sizing anything by an untrusted header count. The count-vs-file-size bound
 // is what distinguishes this reader from read_graph: a 30-byte file claiming
-// a billion nodes dies immediately. Every case runs through the serial arm,
-// the pipelined arm at the default chunk size, and the pipelined arm at a
-// 5-byte chunk size (every line stitched) — and all three must report the
-// same error text, so the failing line never depends on the reader arm.
+// a billion nodes dies immediately. Every case runs through the serial
+// reader (read_csr inside an InlineScope), the pipelined reader at the
+// default chunk size, and the pipelined reader at a 5-byte chunk size (every
+// line stitched) — and all three must report the same error text, so the
+// failing line never depends on the reader.
 TEST(StreamingIo, MalformedInputTable) {
   IngestConfigGuard guard;
   struct Case {
@@ -337,12 +337,9 @@ TEST(StreamingIo, MalformedInputTable) {
   };
   for (const Case& c : cases) {
     const fs::path path = write_temp(c.text, "malformed");
-    parallel_ingest::set_enabled(false);
-    set_ingest_chunk_bytes(0);
-    const std::string serial = read_error(path);
+    const std::string serial = read_error(path, true);
     EXPECT_FALSE(serial.empty()) << "case: " << c.what;
 
-    parallel_ingest::set_enabled(true);
     const std::string piped = read_error(path);
     set_ingest_chunk_bytes(5);
     const std::string piped_tiny = read_error(path);
@@ -355,7 +352,7 @@ TEST(StreamingIo, MalformedInputTable) {
 }
 
 // A line longer than the serial reader's 256 KiB ingest buffer is rejected
-// with the same error by both arms, regardless of the pipelined chunk size.
+// with the same error by both readers, regardless of the pipelined chunk size.
 TEST(StreamingIo, OversizedLineRejectedByBothArms) {
   IngestConfigGuard guard;
   std::string text = "streamgraph t\nnodes 1\n";
@@ -363,9 +360,7 @@ TEST(StreamingIo, OversizedLineRejectedByBothArms) {
   text += " 1.0\nedges 0\nend\n";
   const fs::path path = write_temp(text, "longline");
 
-  parallel_ingest::set_enabled(false);
-  const std::string serial = read_error(path);
-  parallel_ingest::set_enabled(true);
+  const std::string serial = read_error(path, true);
   const std::string piped = read_error(path);
   fs::remove(path);
 
@@ -374,11 +369,8 @@ TEST(StreamingIo, OversizedLineRejectedByBothArms) {
 }
 
 TEST(StreamingIo, MissingFileThrows) {
-  IngestConfigGuard guard;
-  for (const bool piped : {false, true}) {
-    parallel_ingest::set_enabled(piped);
-    EXPECT_THROW(read_csr("/nonexistent/path/graphs.txt"), Error);
-  }
+  EXPECT_THROW(read_serial("/nonexistent/path/graphs.txt"), Error);
+  EXPECT_THROW(read_csr("/nonexistent/path/graphs.txt"), Error);
 }
 
 TEST(StreamingIo, CsrLoadRejectsCycles) {

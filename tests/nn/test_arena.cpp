@@ -14,13 +14,6 @@
 namespace sc::nn {
 namespace {
 
-/// RAII toggle for the arena flag.
-struct ArenaFlag {
-  explicit ArenaFlag(bool on) : prev_(arena::set_enabled(on)) {}
-  ~ArenaFlag() { arena::set_enabled(prev_); }
-  bool prev_;
-};
-
 /// A small forward+backward step exercising GEMM, broadcasting, tanh and
 /// reductions, returning the loss value and parameter gradient.
 std::pair<double, std::vector<double>> step(Tensor& w, std::uint64_t seed) {
@@ -34,7 +27,6 @@ std::pair<double, std::vector<double>> step(Tensor& w, std::uint64_t seed) {
 }
 
 TEST(Arena, SteadyStateReusesNodes) {
-  ArenaFlag flag(true);
   arena::trim_thread_pool();
   Rng rng(1);
   Tensor w = Tensor::randn({6, 3}, rng, 0.5, true);
@@ -50,44 +42,9 @@ TEST(Arena, SteadyStateReusesNodes) {
   EXPECT_GT(s.high_water_bytes, 0u);
 }
 
-TEST(Arena, DisabledBypassesFreeList) {
-  ArenaFlag flag(false);
-  arena::reset_stats();
-  Rng rng(2);
-  Tensor w = Tensor::randn({6, 3}, rng, 0.5, true);
-  for (int it = 0; it < 3; ++it) step(w, 200 + static_cast<std::uint64_t>(it));
-  const arena::ArenaStats s = arena::stats();
-  EXPECT_EQ(s.acquires, 0u);
-  EXPECT_EQ(s.reuses, 0u);
-}
-
-TEST(Arena, OnOffBitIdentical) {
-  std::pair<double, std::vector<double>> on, off;
-  {
-    ArenaFlag flag(true);
-    Rng rng(3);
-    Tensor w = Tensor::randn({6, 3}, rng, 0.5, true);
-    step(w, 300);  // churn the pool so reuse actually happens below
-    on = step(w, 301);
-  }
-  {
-    ArenaFlag flag(false);
-    Rng rng(3);
-    Tensor w = Tensor::randn({6, 3}, rng, 0.5, true);
-    step(w, 300);
-    off = step(w, 301);
-  }
-  EXPECT_EQ(on.first, off.first);
-  ASSERT_EQ(on.second.size(), off.second.size());
-  for (std::size_t i = 0; i < on.second.size(); ++i) {
-    EXPECT_EQ(on.second[i], off.second[i]) << "grad element " << i;
-  }
-}
-
 TEST(Arena, RecycledNodesStartWithZeroGrad) {
   // A released node keeps its buffers but must not leak its gradient into the
   // next op that reuses it (ensure_grad skips re-zeroing when sizes match).
-  ArenaFlag flag(true);
   arena::trim_thread_pool();
   Rng rng(4);
   const Tensor x = Tensor::randn({2, 2}, rng, 1.0, true);
@@ -104,7 +61,6 @@ TEST(Arena, RecycledNodesStartWithZeroGrad) {
 }
 
 TEST(Arena, TrimEmptiesThisThreadsPool) {
-  ArenaFlag flag(true);
   Rng rng(5);
   Tensor w = Tensor::randn({6, 3}, rng, 0.5, true);
   step(w, 500);

@@ -16,13 +16,6 @@
 namespace sc::nn {
 namespace {
 
-/// RAII toggle for the fused-kernel flag.
-struct FusedFlag {
-  explicit FusedFlag(bool on) : prev_(fused::set_enabled(on)) {}
-  ~FusedFlag() { fused::set_enabled(prev_); }
-  bool prev_;
-};
-
 /// Checks d(loss)/d(input) against central finite differences (same recipe as
 /// test_gradcheck.cpp).
 void gradcheck(std::vector<Tensor> inputs,
@@ -63,10 +56,8 @@ struct RunResult {
 /// Builds fresh inputs from `seed`, runs `build` (which must return the op
 /// output), backpropagates sum(mul(out, fixed_weights)) and captures the
 /// forward values plus every input gradient.
-RunResult run_path(bool fused_on, std::uint64_t seed,
-                   std::initializer_list<std::vector<std::size_t>> shapes,
+RunResult run_path(std::uint64_t seed, std::initializer_list<std::vector<std::size_t>> shapes,
                    const std::function<Tensor(const std::vector<Tensor>&)>& build) {
-  FusedFlag flag(fused_on);
   std::vector<Tensor> in = rand_inputs(shapes, seed);
   Tensor y = build(in);
   Rng wrng(seed + 7919);
@@ -93,70 +84,83 @@ void expect_identical(const RunResult& a, const RunResult& b) {
   }
 }
 
-// ---- fused vs unfused equality ---------------------------------------------
+// ---- fused vs the primitive composition ------------------------------------
 
 TEST(FusedOps, LinearTanhMatchesUnfused) {
-  const auto build = [](const std::vector<Tensor>& in) {
+  const auto fused = [](const std::vector<Tensor>& in) {
     return linear_tanh(in[0], in[1], in[2]);
   };
-  expect_identical(run_path(true, 21, {{5, 4}, {4, 3}, {3}}, build),
-                   run_path(false, 21, {{5, 4}, {4, 3}, {3}}, build));
+  const auto unfused = [](const std::vector<Tensor>& in) {
+    return tanh_op(add(matmul(in[0], in[1]), in[2]));
+  };
+  expect_identical(run_path(21, {{5, 4}, {4, 3}, {3}}, fused),
+                   run_path(21, {{5, 4}, {4, 3}, {3}}, unfused));
 }
 
 TEST(FusedOps, LinearTanhNoBiasMatchesUnfused) {
-  const auto build = [](const std::vector<Tensor>& in) {
+  const auto fused = [](const std::vector<Tensor>& in) {
     return linear_tanh(in[0], in[1], Tensor{});
   };
-  expect_identical(run_path(true, 22, {{3, 6}, {6, 2}}, build),
-                   run_path(false, 22, {{3, 6}, {6, 2}}, build));
+  const auto unfused = [](const std::vector<Tensor>& in) {
+    return tanh_op(matmul(in[0], in[1]));
+  };
+  expect_identical(run_path(22, {{3, 6}, {6, 2}}, fused),
+                   run_path(22, {{3, 6}, {6, 2}}, unfused));
 }
 
 TEST(FusedOps, GatherAddTanhMatchesUnfused) {
   const std::vector<std::size_t> idx{0, 3, 1, 1, 2, 0, 3};
-  const auto build = [&idx](const std::vector<Tensor>& in) {
+  const auto fused = [&idx](const std::vector<Tensor>& in) {
     return gather_add_tanh(in[0], idx, in[1]);
   };
-  expect_identical(run_path(true, 23, {{4, 3}, {7, 3}}, build),
-                   run_path(false, 23, {{4, 3}, {7, 3}}, build));
+  const auto unfused = [&idx](const std::vector<Tensor>& in) {
+    return tanh_op(add(gather_rows(in[0], idx), in[1]));
+  };
+  expect_identical(run_path(23, {{4, 3}, {7, 3}}, fused),
+                   run_path(23, {{4, 3}, {7, 3}}, unfused));
 }
 
 TEST(FusedOps, GatherAddTanhNoAddendMatchesUnfused) {
   const std::vector<std::size_t> idx{2, 2, 0, 1};
-  const auto build = [&idx](const std::vector<Tensor>& in) {
+  const auto fused = [&idx](const std::vector<Tensor>& in) {
     return gather_add_tanh(in[0], idx, Tensor{});
   };
-  expect_identical(run_path(true, 24, {{3, 5}}, build),
-                   run_path(false, 24, {{3, 5}}, build));
+  const auto unfused = [&idx](const std::vector<Tensor>& in) {
+    return tanh_op(gather_rows(in[0], idx));
+  };
+  expect_identical(run_path(24, {{3, 5}}, fused), run_path(24, {{3, 5}}, unfused));
 }
 
 TEST(FusedOps, MaskedLogprobSumMatchesUnfused) {
   const std::vector<std::vector<int>> masks{
       {1, 0, 1, 1, 0, 0}, {0, 0, 1, 0, 1, 1}, {1, 1, 1, 1, 1, 1}};
   const std::vector<double> coeffs{0.7, -1.3, 0.05};
-  const auto build = [&](const std::vector<Tensor>& in) {
+  const auto fused = [&](const std::vector<Tensor>& in) {
     return masked_logprob_sum(in[0], masks, coeffs, 0.25);
   };
-  expect_identical(run_path(true, 25, {{6}}, build),
-                   run_path(false, 25, {{6}}, build));
+  const auto unfused = [&](const std::vector<Tensor>& in) {
+    Tensor loss = Tensor::scalar(0.0);
+    for (std::size_t j = 0; j < masks.size(); ++j) {
+      loss = add(loss, scale(sum(bernoulli_log_prob(in[0], masks[j])), coeffs[j]));
+    }
+    return scale(loss, 0.25);
+  };
+  expect_identical(run_path(25, {{6}}, fused), run_path(25, {{6}}, unfused));
 }
 
 TEST(FusedOps, MaskedLogprobSumEmptyBatch) {
   // No episodes (all advantages filtered): the loss is exactly zero and
-  // backward is a no-op on the logits either way.
-  for (const bool on : {true, false}) {
-    FusedFlag flag(on);
-    std::vector<Tensor> in = rand_inputs({{4}}, 26);
-    Tensor loss = masked_logprob_sum(in[0], {}, {}, 0.5);
-    EXPECT_EQ(loss.item(), 0.0);
-    loss.backward();
-    for (const double g : in[0].grad()) EXPECT_EQ(g, 0.0);
-  }
+  // backward is a no-op on the logits.
+  std::vector<Tensor> in = rand_inputs({{4}}, 26);
+  Tensor loss = masked_logprob_sum(in[0], {}, {}, 0.5);
+  EXPECT_EQ(loss.item(), 0.0);
+  loss.backward();
+  for (const double g : in[0].grad()) EXPECT_EQ(g, 0.0);
 }
 
 // ---- finite-difference gradient checks on the fused paths ------------------
 
 TEST(FusedGradCheck, LinearTanh) {
-  FusedFlag flag(true);
   Rng rng(30);
   const Tensor w = Tensor::randn({3, 2}, rng, 1.0, false);
   gradcheck(rand_inputs({{3, 4}, {4, 2}, {2}}, 31), [w](const auto& in) {
@@ -165,7 +169,6 @@ TEST(FusedGradCheck, LinearTanh) {
 }
 
 TEST(FusedGradCheck, LinearTanhNoBias) {
-  FusedFlag flag(true);
   gradcheck(rand_inputs({{2, 3}, {3, 3}}, 32), [](const auto& in) {
     const Tensor y = linear_tanh(in[0], in[1], Tensor{});
     return sum(mul(y, y));
@@ -173,7 +176,6 @@ TEST(FusedGradCheck, LinearTanhNoBias) {
 }
 
 TEST(FusedGradCheck, GatherAddTanh) {
-  FusedFlag flag(true);
   gradcheck(rand_inputs({{4, 3}, {6, 3}}, 33), [](const auto& in) {
     const std::vector<std::size_t> idx{0, 1, 2, 3, 0, 2};
     const Tensor g = gather_add_tanh(in[0], idx, in[1]);
@@ -182,7 +184,6 @@ TEST(FusedGradCheck, GatherAddTanh) {
 }
 
 TEST(FusedGradCheck, GatherAddTanhRepeatedIndices) {
-  FusedFlag flag(true);
   gradcheck(rand_inputs({{3, 2}, {5, 2}}, 34), [](const auto& in) {
     const std::vector<std::size_t> idx{1, 1, 1, 0, 2};
     return sum(gather_add_tanh(in[0], idx, in[1]));
@@ -190,7 +191,6 @@ TEST(FusedGradCheck, GatherAddTanhRepeatedIndices) {
 }
 
 TEST(FusedGradCheck, MaskedLogprobSum) {
-  FusedFlag flag(true);
   gradcheck(rand_inputs({{6}}, 35), [](const auto& in) {
     return masked_logprob_sum(
         in[0], {{1, 0, 1, 1, 0, 0}, {0, 0, 1, 0, 1, 1}}, {0.7, -1.3}, 0.25);
@@ -198,7 +198,6 @@ TEST(FusedGradCheck, MaskedLogprobSum) {
 }
 
 TEST(FusedOps, RejectsMalformedMasks) {
-  FusedFlag flag(true);
   const Tensor logits = Tensor::from({0.1, -0.2, 0.3}, {3}, true);
   EXPECT_THROW(masked_logprob_sum(logits, {{1, 0}}, {1.0}), Error);
   EXPECT_THROW(masked_logprob_sum(logits, {{1, 0, 2}}, {1.0}), Error);

@@ -1,13 +1,14 @@
-// Blocked/parallel GEMM kernels must agree with the naive scalar loops
-// within 1e-12 per element on randomized shapes (including degenerate ones),
-// and matmul/matmul_nt must produce matching forward + backward results
-// under either kernel path.
+// Blocked/parallel GEMM kernels must agree with the naive reference loops
+// (gemm_oracle.hpp) within 1e-12 per element on randomized shapes (including
+// degenerate ones), and matmul/matmul_nt forward + backward results must
+// match the same products computed with the reference loops.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "gemm_oracle.hpp"
 #include "nn/ops.hpp"
 #include "nn/tensor.hpp"
 
@@ -27,15 +28,6 @@ void expect_close(const std::vector<double>& a, const std::vector<double>& b) {
   }
 }
 
-class BlockedGuard {
-public:
-  explicit BlockedGuard(bool enabled) : prev_(kernels::set_blocked(enabled)) {}
-  ~BlockedGuard() { kernels::set_blocked(prev_); }
-
-private:
-  bool prev_;
-};
-
 TEST(GemmBlocked, MatchesNaiveOnRandomShapes) {
   Rng rng(101);
   // A spread of shapes: degenerate, tiny, off-by-one around the 4-row
@@ -49,27 +41,27 @@ TEST(GemmBlocked, MatchesNaiveOnRandomShapes) {
     const auto b_nn = random_values(k * m, rng);
 
     std::vector<double> naive(n * m, 0.5), blocked(n * m, 0.5);
-    kernels::gemm_nn_naive(a.data(), b_nn.data(), naive.data(), n, k, m, false);
+    oracle::gemm_nn(a.data(), b_nn.data(), naive.data(), n, k, m, false);
     kernels::gemm_nn(a.data(), b_nn.data(), blocked.data(), n, k, m, false);
     expect_close(naive, blocked);
 
     // Accumulating variant must add on top of existing contents.
     std::vector<double> naive_acc(n * m, 0.25), blocked_acc(n * m, 0.25);
-    kernels::gemm_nn_naive(a.data(), b_nn.data(), naive_acc.data(), n, k, m, true);
+    oracle::gemm_nn(a.data(), b_nn.data(), naive_acc.data(), n, k, m, true);
     kernels::gemm_nn(a.data(), b_nn.data(), blocked_acc.data(), n, k, m, true);
     expect_close(naive_acc, blocked_acc);
 
     // gemm_nt: A (n,m') · B (k',m')^T with m' = k, k' = m.
     const auto b_nt = random_values(m * k, rng);
     std::vector<double> naive_nt(n * m, 0.125), blocked_nt(n * m, 0.125);
-    kernels::gemm_nt_naive(a.data(), b_nt.data(), naive_nt.data(), n, k, m);
+    oracle::gemm_nt(a.data(), b_nt.data(), naive_nt.data(), n, k, m);
     kernels::gemm_nt(a.data(), b_nt.data(), blocked_nt.data(), n, k, m);
     expect_close(naive_nt, blocked_nt);
 
     // gemm_tn: A (n,k)^T · B (n,m).
     const auto b_tn = random_values(n * m, rng);
     std::vector<double> naive_tn(k * m, -0.5), blocked_tn(k * m, -0.5);
-    kernels::gemm_tn_naive(a.data(), b_tn.data(), naive_tn.data(), n, k, m);
+    oracle::gemm_tn(a.data(), b_tn.data(), naive_tn.data(), n, k, m);
     kernels::gemm_tn(a.data(), b_tn.data(), blocked_tn.data(), n, k, m);
     expect_close(naive_tn, blocked_tn);
   }
@@ -89,48 +81,47 @@ TEST(GemmBlocked, EmptyInnerDimensionLeavesOutputsConsistent) {
   for (const double x : c_acc) EXPECT_EQ(x, 3.0);
 }
 
-TEST(GemmBlocked, SetBlockedTogglesAndRestores) {
-  const bool initial = kernels::blocked_enabled();
-  {
-    BlockedGuard guard(false);
-    EXPECT_FALSE(kernels::blocked_enabled());
-  }
-  EXPECT_EQ(kernels::blocked_enabled(), initial);
-}
-
 TEST(GemmBlocked, MatmulForwardBackwardMatchesNaivePath) {
+  constexpr std::size_t n = 19, k = 11, m = 9;
   Rng rng(7);
-  Tensor a = Tensor::randn({19, 11}, rng, 1.0, true);
-  Tensor b = Tensor::randn({11, 9}, rng, 1.0, true);
-  Tensor bt = Tensor::randn({9, 11}, rng, 1.0, true);
+  Tensor a = Tensor::randn({n, k}, rng, 1.0, true);
+  Tensor b = Tensor::randn({k, m}, rng, 1.0, true);
+  Tensor bt = Tensor::randn({m, k}, rng, 1.0, true);
 
-  const auto run = [&](bool blocked) {
-    BlockedGuard guard(blocked);
-    for (Tensor* t : {&a, &b, &bt}) t->zero_grad();
-    Tensor out = sum(add(matmul(a, b), matmul_nt(a, bt)));
-    out.backward();
-    std::vector<std::vector<double>> result = {out.value(), a.grad(), b.grad(),
-                                               bt.grad()};
-    return result;
-  };
+  Tensor out = sum(add(matmul(a, b), matmul_nt(a, bt)));
+  out.backward();
 
-  const auto naive = run(false);
-  const auto blocked = run(true);
-  for (std::size_t i = 0; i < naive.size(); ++i) expect_close(naive[i], blocked[i]);
+  // The same loss and gradients from the reference loops: with
+  // y = a·b + a·bt^T and d(sum)/dy = 1, a.grad = 1·b^T + 1·bt,
+  // b.grad = a^T·1 and bt.grad = 1^T·a.
+  const double* av = a.value().data();
+  std::vector<double> y(n * m), y_nt(n * m, 0.0);
+  oracle::gemm_nn(av, b.value().data(), y.data(), n, k, m, false);
+  oracle::gemm_nt(av, bt.value().data(), y_nt.data(), n, k, m);
+  double loss = 0.0;
+  for (std::size_t i = 0; i < y.size(); ++i) loss += y[i] + y_nt[i];
+  const std::vector<double> ones(n * m, 1.0);
+  std::vector<double> ga(n * k, 0.0), gb(k * m, 0.0), gbt(m * k, 0.0);
+  oracle::gemm_nt(ones.data(), b.value().data(), ga.data(), n, m, k);
+  oracle::gemm_nn(ones.data(), bt.value().data(), ga.data(), n, m, k, true);
+  oracle::gemm_tn(av, ones.data(), gb.data(), n, k, m);
+  oracle::gemm_tn(ones.data(), av, gbt.data(), n, m, k);
+
+  expect_close({loss}, out.value());
+  expect_close(ga, a.grad());
+  expect_close(gb, b.grad());
+  expect_close(gbt, bt.grad());
 }
 
-// Edge-mask scoring on a graph with no edges produces empty matmuls; both
-// kernel paths must handle the zero-row case without touching memory.
+// Edge-mask scoring on a graph with no edges produces empty matmuls; the
+// kernels must handle the zero-row case without touching memory.
 TEST(GemmBlocked, ZeroRowMatmul) {
   Rng rng(3);
   const Tensor a = Tensor::randn({0, 5}, rng, 1.0, true);
   const Tensor b = Tensor::randn({5, 4}, rng, 1.0, true);
-  for (const bool blocked : {false, true}) {
-    BlockedGuard guard(blocked);
-    const Tensor out = matmul(a, b);
-    EXPECT_EQ(out.rows(), 0u);
-    EXPECT_EQ(out.cols(), 4u);
-  }
+  const Tensor out = matmul(a, b);
+  EXPECT_EQ(out.rows(), 0u);
+  EXPECT_EQ(out.cols(), 4u);
 }
 
 }  // namespace

@@ -10,12 +10,12 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "nn/ops.hpp"
+#include "nn/simd.hpp"
 #include "nn/tensor.hpp"
 
 namespace sc::nn {
@@ -28,16 +28,11 @@ constexpr std::size_t kWidths[] = {1, 24, 32};
 constexpr std::size_t kInner = 24;     // linear_tanh input width
 constexpr std::size_t kBaseRows = 97;  // gather_add_tanh base rows
 
-/// The kernel toggles a case runs under; restores the previous values.
-struct KernelMode {
-  KernelMode(bool blocked, bool simd)
-      : prev_blocked(kernels::set_blocked(blocked)), prev_simd(kernels::set_simd(simd)) {}
-  ~KernelMode() {
-    kernels::set_blocked(prev_blocked);
-    kernels::set_simd(prev_simd);
-  }
-  bool prev_blocked;
-  bool prev_simd;
+/// The SIMD tier a case runs under; restores the previous tier.
+struct TierMode {
+  explicit TierMode(simd::Tier tier) : prev(simd::set_tier(tier)) {}
+  ~TierMode() { simd::set_tier(prev); }
+  simd::Tier prev;
 };
 
 struct RunResult {
@@ -76,10 +71,9 @@ std::size_t mismatches(const std::vector<double>& a, const std::vector<double>& 
 }
 
 void expect_fanout_identical(const Shapes& shapes, const Build& build) {
-  const std::pair<bool, bool> modes[] = {{true, true}, {false, true}, {true, false}};
-  for (const auto& [blocked, simd] : modes) {
-    SCOPED_TRACE(::testing::Message() << "blocked=" << blocked << " simd=" << simd);
-    const KernelMode mode(blocked, simd);
+  for (const simd::Tier tier : {simd::active(), simd::Tier::Scalar}) {
+    SCOPED_TRACE(::testing::Message() << "tier=" << simd::tier_name(tier));
+    const TierMode mode(tier);
     const RunResult fanned = run(false, 31, shapes, build);
     const RunResult serial = run(true, 31, shapes, build);
     EXPECT_EQ(mismatches(fanned.out, serial.out), 0u) << "forward values";

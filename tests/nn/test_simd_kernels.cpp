@@ -65,16 +65,13 @@ std::vector<simd::Tier> available_tiers() {
   return tiers;
 }
 
-/// Restores the dispatch state (toggle + tier) on scope exit.
+/// Restores the active tier on scope exit. use(true) selects the tier that
+/// was active when the guard was made (the one production dispatches on),
+/// use(false) the scalar reference tier.
 struct DispatchGuard {
-  bool prev_simd = kernels::simd_enabled();
-  bool prev_blocked = kernels::blocked_enabled();
   simd::Tier prev_tier = simd::active();
-  ~DispatchGuard() {
-    kernels::set_simd(prev_simd);
-    kernels::set_blocked(prev_blocked);
-    simd::set_tier(prev_tier);
-  }
+  void use(bool simd_on) const { simd::set_tier(simd_on ? prev_tier : simd::Tier::Scalar); }
+  ~DispatchGuard() { simd::set_tier(prev_tier); }
 };
 
 TEST(SimdKernels, GemmParityAcrossTiersAndBlocking) {
@@ -86,14 +83,12 @@ TEST(SimdKernels, GemmParityAcrossTiersAndBlocking) {
     const std::vector<double> ant = randn(s.n * s.m, rng);  // gemm_nt A (n,m)
     const std::vector<double> seed_c = randn(s.n * s.m, rng);
 
-    for (const bool blocked : {false, true}) {
-      kernels::set_blocked(blocked);
-
-      // Reference: the scalar tier (simd off) at the SAME blocking setting.
-      // The SIMD contract is bit-identity against the scalar loops it
-      // replaces; blocked-vs-naive accumulation-order differences are a
-      // separate, tolerance-based contract covered by test_gemm_blocked.
-      kernels::set_simd(false);
+    {
+      // Reference: the scalar tier. The SIMD contract is bit-identity
+      // against the scalar loops it replaces; the blocked kernels' agreement
+      // with the naive loops is a separate, tolerance-based contract covered
+      // by test_gemm_blocked.
+      guard.use(false);
       std::vector<double> ref_nn(s.n * s.m);
       kernels::gemm_nn(a.data(), b.data(), ref_nn.data(), s.n, s.k, s.m, false);
       std::vector<double> ref_nn_acc = seed_c;
@@ -104,12 +99,10 @@ TEST(SimdKernels, GemmParityAcrossTiersAndBlocking) {
       kernels::gemm_tn(a.data(), ant.data(), ref_tn.data(), s.n, s.k, s.m);
 
       for (const simd::Tier tier : available_tiers()) {
-        kernels::set_simd(true);
         simd::set_tier(tier);
         const std::string ctx = std::string("shape {") + std::to_string(s.n) + "," +
                                 std::to_string(s.k) + "," + std::to_string(s.m) +
-                                "} tier " + simd::tier_name(tier) +
-                                (blocked ? " blocked" : " unblocked");
+                                "} tier " + simd::tier_name(tier);
 
         std::vector<double> c(s.n * s.m);
         kernels::gemm_nn(a.data(), b.data(), c.data(), s.n, s.k, s.m, false);
@@ -146,7 +139,7 @@ TEST(SimdKernels, ElementwiseOpParityAcrossToggle) {
         std::vector<double> value, ga, gb;
       };
       const auto run_case = [&](bool simd_on, auto&& build) {
-        kernels::set_simd(simd_on);
+        guard.use(simd_on);
         Tensor a = Tensor::from(a0.value(), a0.shape(), true);
         Tensor b = Tensor::from(b0.value(), b0.shape(), true);
         Tensor bias = Tensor::from(bias0.value(), bias0.shape(), true);
@@ -186,7 +179,7 @@ TEST(SimdKernels, FusedOpsParityAcrossToggle) {
   for (std::size_t e = 0; e < edges; ++e) index[e] = rng.index(n);
 
   const auto run_linear = [&](bool simd_on) {
-    kernels::set_simd(simd_on);
+    guard.use(simd_on);
     Tensor w = Tensor::from(w0.value(), w0.shape(), true);
     Tensor b = Tensor::from(b0.value(), b0.shape(), true);
     Tensor out = linear_tanh(x, w, b);
@@ -200,7 +193,7 @@ TEST(SimdKernels, FusedOpsParityAcrossToggle) {
   expect_bitwise(lin_off.second.second, lin_on.second.second, "linear_tanh grad-b");
 
   const auto run_gather = [&](bool simd_on) {
-    kernels::set_simd(simd_on);
+    guard.use(simd_on);
     Tensor base = Tensor::from(base0.value(), base0.shape(), true);
     Tensor addend = Tensor::from(add0.value(), add0.shape(), true);
     Tensor out = gather_add_tanh(base, index, addend);
@@ -224,14 +217,6 @@ TEST(SimdKernels, TierAdministration) {
   EXPECT_EQ(prev, simd::Tier::Scalar);
   EXPECT_LE(static_cast<int>(simd::active()), static_cast<int>(hw));
 
-  // The kernels' dispatch tier honours the A/B toggle.
-  kernels::set_simd(false);
-  EXPECT_EQ(kernels::simd_tier(), simd::Tier::Scalar);
-  EXPECT_FALSE(kernels::simd_enabled());
-  const bool was = kernels::set_simd(true);
-  EXPECT_FALSE(was);
-  EXPECT_EQ(kernels::simd_tier(), simd::active());
-
   // Name/parse round trips.
   EXPECT_STREQ(simd::tier_name(simd::Tier::Scalar), "scalar");
   EXPECT_STREQ(simd::tier_name(simd::Tier::Neon), "neon");
@@ -252,7 +237,7 @@ TEST(SimdKernels, MatmulEndToEndParityAcrossToggle) {
   const Tensor a0 = Tensor::randn({19, 13}, rng, 1.0, true);
   const Tensor b0 = Tensor::randn({13, 9}, rng, 1.0, true);
   const auto run = [&](bool simd_on) {
-    kernels::set_simd(simd_on);
+    guard.use(simd_on);
     Tensor a = Tensor::from(a0.value(), a0.shape(), true);
     Tensor b = Tensor::from(b0.value(), b0.shape(), true);
     Tensor out = matmul(a, b);

@@ -14,6 +14,26 @@ using graph::NodeId;
 using graph::WeightedEdge;
 using graph::WeightedGraph;
 
+std::vector<NodeId> heavy_edge_matching(const WeightedGraph& g, Rng& rng) {
+  MatchScratch scratch;
+  heavy_edge_matching_ws(g, rng, scratch);
+  return scratch.match;
+}
+
+struct Contraction {
+  WeightedGraph coarse;
+  std::vector<NodeId> map;
+};
+
+Contraction contract_matching(const WeightedGraph& g, const std::vector<NodeId>& match) {
+  std::vector<double> weight_buf;
+  std::vector<WeightedEdge> edge_buf;
+  graph::EdgeDedupScratch dedup;
+  Contraction c;
+  contract_matching_ws(g, match, weight_buf, edge_buf, dedup, c.map, c.coarse);
+  return c;
+}
+
 TEST(Matching, IsSymmetricAndComplete) {
   WeightedGraph g({1, 1, 1, 1, 1, 1},
                   {WeightedEdge{0, 1, 1}, WeightedEdge{1, 2, 1}, WeightedEdge{2, 3, 1},

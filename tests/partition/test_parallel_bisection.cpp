@@ -1,11 +1,12 @@
 // Thread-count invariance of parallel recursive bisection (DESIGN.md §5.5).
 //
-// The toggle is an execution-strategy switch only: every subtree of the
-// bisection tree consumes a private split() RNG stream derived from its path
-// to the root, so the partition — and the draw sequence of every stream — is
-// identical whether the subtrees run serially, on a 2-worker pool, or on an
-// 8-worker pool. These tests pin that contract down with exact (==)
-// comparisons on the resulting labels.
+// Fanning subtrees out over a pool is an execution strategy only: every
+// subtree of the bisection tree consumes a private split() RNG stream
+// derived from its path to the root, so the partition — and the draw
+// sequence of every stream — is identical whether the subtrees run serially
+// (inside a ThreadPool::InlineScope or on a 1-worker pool), on a 2-worker
+// pool, or on an 8-worker pool. These tests pin that contract down with
+// exact (==) comparisons on the resulting labels.
 #include "partition/mlpart.hpp"
 
 #include <gtest/gtest.h>
@@ -16,7 +17,6 @@
 #include "common/thread_pool.hpp"
 #include "graph/weighted_graph.hpp"
 #include "partition/metrics.hpp"
-#include "partition/workspace.hpp"
 
 namespace sc::partition {
 namespace {
@@ -68,6 +68,8 @@ TEST(ParallelBisection, ThreadCountInvariant) {
 }
 
 TEST(ParallelBisection, ToggleDoesNotChangeResults) {
+  // The same partitioner on a 4-worker pool (subtrees fan out) and inside an
+  // InlineScope (serial recursion), with restarts.
   const WeightedGraph g = random_graph(240, 300, 29);
   ThreadPool pool(4);
   ThreadPool* prev_pool = set_parallel_bisection_pool(&pool);
@@ -76,34 +78,15 @@ TEST(ParallelBisection, ToggleDoesNotChangeResults) {
   opts.restarts = 2;
   const MultilevelPartitioner p(opts);
 
-  const bool prev = set_parallel_bisection(true);
-  const std::vector<int> on = p.partition(g, 6);
-  set_parallel_bisection(false);
-  const std::vector<int> off = p.partition(g, 6);
-  set_parallel_bisection(prev);
+  const std::vector<int> fanned = p.partition(g, 6);
+  std::vector<int> serial;
+  {
+    const ThreadPool::InlineScope inline_scope;
+    serial = p.partition(g, 6);
+  }
   set_parallel_bisection_pool(prev_pool);
 
-  EXPECT_EQ(on, off);
-}
-
-TEST(ParallelBisection, MatchesLegacyAllocatingPath) {
-  // The per-subtree RNG-splitting scheme is shared by all three drivers:
-  // legacy recursion, workspace recursion, and the parallel BFS driver. All
-  // must produce the same labels.
-  const WeightedGraph g = random_graph(180, 220, 41);
-  ThreadPool pool(4);
-  ThreadPool* prev_pool = set_parallel_bisection_pool(&pool);
-  PartitionOptions opts;
-  opts.seed = 13;
-  const MultilevelPartitioner p(opts);
-
-  const std::vector<int> parallel_ws = p.partition(g, 7);
-  const bool prev_ws = workspace::set_enabled(false);
-  const std::vector<int> legacy = p.partition(g, 7);
-  workspace::set_enabled(prev_ws);
-  set_parallel_bisection_pool(prev_pool);
-
-  EXPECT_EQ(parallel_ws, legacy);
+  EXPECT_EQ(fanned, serial);
 }
 
 TEST(ParallelBisection, DeterministicAcrossRepeats) {

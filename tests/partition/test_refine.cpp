@@ -4,7 +4,6 @@
 
 #include "common/rng.hpp"
 #include "partition/metrics.hpp"
-#include "partition/workspace.hpp"
 
 namespace sc::partition {
 namespace {
@@ -59,53 +58,6 @@ TEST(FmRefine, RespectsBalanceCap) {
   const auto w = part_weights(g, part, 2);
   EXPECT_LE(w[0], 4.0 * 1.05 + 1e-9);
   EXPECT_LE(w[1], 4.0 * 1.05 + 1e-9);
-}
-
-// The three FM variants — legacy full scan, gain buckets, lazy heap — must
-// produce the SAME move sequence, hence bit-identical partitions and cuts,
-// on adversarial random graphs (duplicate gains, near-ties, balance stalls).
-TEST(FmRefine, VariantsAreBitIdentical) {
-  Rng rng(0xFEEDu);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n = 20 + rng.index(60);
-    std::vector<double> weights(n);
-    for (double& w : weights) w = 0.5 + rng.uniform();
-    std::vector<WeightedEdge> edges;
-    const std::size_t m = n + rng.index(3 * n);
-    for (std::size_t e = 0; e < m; ++e) {
-      const auto a = static_cast<graph::NodeId>(rng.index(n));
-      const auto b = static_cast<graph::NodeId>(rng.index(n));
-      if (a == b) continue;
-      // Coarse weights: many duplicates, so gain ties are common.
-      edges.push_back({a, b, 1.0 + static_cast<double>(rng.index(4))});
-    }
-    if (edges.empty()) continue;
-    const WeightedGraph g(std::move(weights), edges);
-    std::vector<int> init(n);
-    for (std::size_t v = 0; v < n; ++v) init[v] = rng.index(2) == 0 ? 0 : 1;
-    const double target0 = 0.5 * g.total_node_weight();
-
-    const bool prev_buckets = fm_buckets::set_enabled(false);
-    const bool prev_heap = fm_heap::set_enabled(false);
-    std::vector<int> part_legacy = init;
-    const double cut_legacy = fm_refine_bisection(g, part_legacy, target0, 0.08);
-
-    fm_buckets::set_enabled(true);
-    std::vector<int> part_buckets = init;
-    const double cut_buckets = fm_refine_bisection(g, part_buckets, target0, 0.08);
-
-    fm_heap::set_enabled(true);
-    std::vector<int> part_heap = init;
-    const double cut_heap = fm_refine_bisection(g, part_heap, target0, 0.08);
-
-    fm_buckets::set_enabled(prev_buckets);
-    fm_heap::set_enabled(prev_heap);
-
-    EXPECT_EQ(cut_legacy, cut_buckets) << "trial " << trial;
-    EXPECT_EQ(cut_legacy, cut_heap) << "trial " << trial;
-    EXPECT_EQ(part_legacy, part_buckets) << "trial " << trial;
-    EXPECT_EQ(part_legacy, part_heap) << "trial " << trial;
-  }
 }
 
 TEST(KwayRefine, ImprovesBalancedRandomPartition) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "gen/dataset.hpp"
 #include "gen/generator.hpp"
 #include "graph/io.hpp"
@@ -27,15 +28,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Restores the ingest/pipeline toggles on scope exit.
-struct PipelineGuard {
-  bool prev_pipe = pipelined_streaming::enabled();
-  bool prev_ingest = graph::parallel_ingest::enabled();
-  ~PipelineGuard() {
-    pipelined_streaming::set_enabled(prev_pipe);
-    graph::parallel_ingest::set_enabled(prev_ingest);
-    graph::set_ingest_chunk_bytes(0);
-  }
+/// Restores the default ingest chunk size on scope exit.
+struct ChunkGuard {
+  ~ChunkGuard() { graph::set_ingest_chunk_bytes(0); }
 };
 
 fs::path write_fixture(std::size_t lo, std::size_t hi, std::uint64_t seed,
@@ -61,8 +56,7 @@ TEST(StreamingIngestStress, ProducerFinishesBeforeConsumerDrains) {
   // accumulator may still hold undrained batches; repeat to hit different
   // close/drain interleavings.
   const fs::path path = write_fixture(40, 60, 0x51u, "early");
-  PipelineGuard guard;
-  pipelined_streaming::set_enabled(true);
+  ChunkGuard guard;
   for (int round = 0; round < 20; ++round) {
     const StreamingIngest got = streaming_read_csr(path.string());
     EXPECT_EQ(degree_sum(got.undirected_degree), 2 * got.graph.num_edges());
@@ -73,14 +67,16 @@ TEST(StreamingIngestStress, ProducerFinishesBeforeConsumerDrains) {
 TEST(StreamingIngestStress, ConsumerDrainsBackloggedQueue) {
   // Tiny ingest chunks flood the bounded queue with many small batches, so
   // the producer's full-queue spin path and the consumer's batched drain
-  // both run; the commutative counts must match the serial arm exactly.
+  // both run; the commutative counts must match the serial reader's exactly.
   const fs::path path = write_fixture(300, 400, 0x52u, "backlog");
-  PipelineGuard guard;
+  ChunkGuard guard;
 
-  pipelined_streaming::set_enabled(false);
-  const StreamingIngest serial = streaming_read_csr(path.string());
+  StreamingIngest serial;
+  {
+    const ThreadPool::InlineScope inline_scope;  // read_csr reads serially
+    serial = streaming_read_csr(path.string());
+  }
 
-  pipelined_streaming::set_enabled(true);
   graph::set_ingest_chunk_bytes(256);
   for (int round = 0; round < 5; ++round) {
     const StreamingIngest piped = streaming_read_csr(path.string());
@@ -115,8 +111,7 @@ TEST(StreamingIngestStress, AbortMidStreamTearsDownCleanly) {
   }
   fs::remove(full);
 
-  PipelineGuard guard;
-  pipelined_streaming::set_enabled(true);
+  ChunkGuard guard;
   graph::set_ingest_chunk_bytes(256);
   for (int round = 0; round < 10; ++round) {
     EXPECT_THROW(streaming_read_csr(truncated.string()), Error);

@@ -99,42 +99,33 @@ TEST(StreamingPartition, IndependentOfThreadCount) {
   }
 }
 
-/// Restores the pipelined-streaming and ingest toggles on scope exit.
-struct PipelineGuard {
-  bool prev_pipe = pipelined_streaming::enabled();
-  bool prev_ingest = graph::parallel_ingest::enabled();
-  ~PipelineGuard() {
-    pipelined_streaming::set_enabled(prev_pipe);
-    graph::parallel_ingest::set_enabled(prev_ingest);
-    graph::set_ingest_chunk_bytes(0);
-  }
-};
-
 TEST(StreamingPartition, PipelinedArmBitIdenticalAcrossThreads) {
-  // The serial sweep arm is the reference; the speculate-then-commit arm
-  // must replay it move for move at every pool size.
+  // The speculate-then-commit refinement (and the rest of the pipeline) run
+  // inside an InlineScope is the reference; every pool size must replay it
+  // move for move.
   const Fixture f = make_fixture(250, 350, 21);
   const std::vector<double> fractions(8, 1.0);
-  PipelineGuard guard;
 
   StreamingOptions opts;
   opts.num_shards = 4;
   opts.buffer_nodes = 32;  // force evictions so phase 1 is exercised hard
-  pipelined_streaming::set_enabled(false);
   StreamingStats serial_stats;
-  const auto reference = streaming_partition(f.csr, f.load, fractions, opts, &serial_stats);
-  EXPECT_EQ(serial_stats.refine_spec_blocks, 0u);
+  std::vector<int> reference;
+  {
+    const ThreadPool::InlineScope inline_scope;
+    reference = streaming_partition(f.csr, f.load, fractions, opts, &serial_stats);
+  }
+  EXPECT_GT(serial_stats.refine_spec_blocks, 0u);
   EXPECT_GT(serial_stats.eviction_batches, 0u);
 
-  pipelined_streaming::set_enabled(true);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     ThreadPool pool(threads);
     StreamingOptions popts = opts;
     popts.pool = &pool;
     StreamingStats stats;
     const auto part = streaming_partition(f.csr, f.load, fractions, popts, &stats);
-    EXPECT_EQ(part, reference) << "pipelined arm diverged at " << threads << " threads";
-    EXPECT_GT(stats.refine_spec_blocks, 0u);
+    EXPECT_EQ(part, reference) << "diverged at " << threads << " threads";
+    EXPECT_EQ(stats.refine_spec_blocks, serial_stats.refine_spec_blocks);
     EXPECT_EQ(stats.evictions, serial_stats.evictions);
     EXPECT_EQ(stats.eviction_batches, serial_stats.eviction_batches);
   }
@@ -148,20 +139,24 @@ TEST(StreamingPartition, OverlappedIngestMatchesSerialRead) {
   const fs::path path = fs::temp_directory_path() /
                         ("sc_stream_overlap_" + std::to_string(::getpid()) + ".txt");
   graph::save_graphs(path.string(), graphs);
-  PipelineGuard guard;
 
-  pipelined_streaming::set_enabled(false);
-  const StreamingIngest serial = streaming_read_csr(path.string());
-  EXPECT_EQ(serial.degree_batches, 0u);
+  // Reference: a plain read, then the degrees counted over the finished CSR.
+  const graph::CsrGraph csr = graph::read_csr(path.string());
+  std::vector<std::uint64_t> degree(csr.num_nodes(), 0);
+  for (std::size_t v = 0; v < csr.num_nodes(); ++v) {
+    const auto targets = csr.out(static_cast<graph::NodeId>(v));
+    degree[v] += targets.size();
+    for (const graph::NodeId d : targets) ++degree[d];
+  }
 
-  pipelined_streaming::set_enabled(true);
   graph::set_ingest_chunk_bytes(512);  // many small batches through the queue
   const StreamingIngest piped = streaming_read_csr(path.string());
+  graph::set_ingest_chunk_bytes(0);
   fs::remove(path);
 
-  ASSERT_EQ(piped.graph.num_nodes(), serial.graph.num_nodes());
-  ASSERT_EQ(piped.graph.num_edges(), serial.graph.num_edges());
-  EXPECT_EQ(piped.undirected_degree, serial.undirected_degree);
+  ASSERT_EQ(piped.graph.num_nodes(), csr.num_nodes());
+  ASSERT_EQ(piped.graph.num_edges(), csr.num_edges());
+  EXPECT_EQ(piped.undirected_degree, degree);
   EXPECT_GT(piped.degree_batches, 1u);
   EXPECT_GE(piped.degree_queue_peak, 1u);
   std::uint64_t total = 0;
@@ -208,8 +203,8 @@ TEST(StreamingPartition, CutWithinToleranceOfInMemory) {
   // Round-trip quality gate at a co-runnable scale: the streaming pipeline
   // (buffered shards -> parallel coarsening -> coarse partition -> refine)
   // must land within 2x of the in-memory multilevel partitioner's cut on the
-  // same metric. At bench scale (>100K nodes) the two are within a few
-  // percent (results/BENCH_huge.json); the loose factor here absorbs
+  // same metric. At larger scale the streaming cut has been measured below
+  // the in-memory one (0.81x at 116K nodes); the loose factor here absorbs
   // small-graph variance across seeds.
   const Fixture f = make_fixture(300, 400, 11);
   const sim::ClusterSpec spec = rl::to_cluster_spec(gen::setting_config(gen::Setting::Medium).workload);

@@ -1,19 +1,18 @@
-// The PR-2 performance levers — tensor arena, fused kernels, block-diagonal
-// batched forward — are pure optimisations: training statistics must be
-// bit-identical with each of them on or off at a fixed seed. Run on a
-// 1-thread pool so even the cache hit/miss split is deterministic.
+// Execution-strategy choices must not change training: epoch statistics and
+// checkpoints are bit-identical across the SIMD tier and the bisection pool
+// size, the cross-epoch logit carry is invalidated by parameter edits, and
+// the episode accounting adds up. Run on a 1-thread pool so even the cache
+// hit/miss split is deterministic.
 #include "rl/reinforce.hpp"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "gen/generator.hpp"
-#include "graph/contraction.hpp"
-#include "nn/arena.hpp"
-#include "nn/ops.hpp"
+#include "nn/simd.hpp"
 #include "partition/mlpart.hpp"
-#include "partition/workspace.hpp"
 #include "rl/trainer_state.hpp"
 
 namespace sc::rl {
@@ -33,26 +32,6 @@ sim::ClusterSpec spec() {
   return to_cluster_spec(cfg.workload);
 }
 
-std::vector<EpochStats> run_epochs(const std::vector<graph::StreamGraph>& graphs,
-                                   bool arena_on, bool fused_on, bool batched_on,
-                                   int epochs) {
-  const bool prev_arena = nn::arena::set_enabled(arena_on);
-  const bool prev_fused = nn::fused::set_enabled(fused_on);
-  ThreadPool serial(1);
-  auto contexts = make_contexts(graphs, spec());
-  gnn::CoarseningPolicy policy{gnn::PolicyConfig{}};
-  TrainerConfig cfg;
-  cfg.seed = 99;
-  cfg.batched_forward = batched_on;
-  cfg.pool = &serial;
-  ReinforceTrainer trainer(policy, contexts, metis_placer(), cfg);
-  std::vector<EpochStats> out;
-  for (int e = 0; e < epochs; ++e) out.push_back(trainer.train_epoch());
-  nn::arena::set_enabled(prev_arena);
-  nn::fused::set_enabled(prev_fused);
-  return out;
-}
-
 void expect_bit_identical(const std::vector<EpochStats>& a,
                           const std::vector<EpochStats>& b, const char* what) {
   ASSERT_EQ(a.size(), b.size());
@@ -68,69 +47,23 @@ void expect_bit_identical(const std::vector<EpochStats>& a,
   }
 }
 
-TEST(PerfToggles, EpochStatsBitIdenticalAcrossAllToggles) {
-  const auto graphs = small_graphs(4, 31);
-  const auto base = run_epochs(graphs, true, true, true, 3);
-  expect_bit_identical(base, run_epochs(graphs, false, true, true, 3), "arena off");
-  expect_bit_identical(base, run_epochs(graphs, true, false, true, 3), "fused off");
-  expect_bit_identical(base, run_epochs(graphs, true, true, false, 3), "batched off");
-  expect_bit_identical(base, run_epochs(graphs, false, false, false, 3), "all off");
-}
-
-TEST(PerfToggles, RewardHotPathTogglesKeepStatsAndCheckpointsIdentical) {
-  // The PR-5 reward hot-path levers — contraction scratch, partition
-  // workspace, bucketed FM — must not perturb training either: epoch stats
-  // stay bit-identical and the serialized checkpoint (parameters, Adam
-  // moments, RNG stream, buffers) is byte-for-byte the same file.
-  const auto graphs = small_graphs(4, 53);
-  auto run = [&](bool scratch_on, bool ws_on, bool fm_on) {
-    const bool prev_scratch = graph::contraction_scratch::set_enabled(scratch_on);
-    const bool prev_ws = partition::workspace::set_enabled(ws_on);
-    const bool prev_fm = partition::fm_buckets::set_enabled(fm_on);
-    ThreadPool serial(1);
-    auto contexts = make_contexts(graphs, spec());
-    gnn::CoarseningPolicy policy{gnn::PolicyConfig{}};
-    TrainerConfig cfg;
-    cfg.seed = 99;
-    cfg.pool = &serial;
-    ReinforceTrainer trainer(policy, contexts, metis_placer(), cfg);
-    std::vector<EpochStats> stats;
-    for (int e = 0; e < 3; ++e) stats.push_back(trainer.train_epoch());
-    std::ostringstream checkpoint;
-    write_trainer_state(checkpoint, trainer.export_state());
-    graph::contraction_scratch::set_enabled(prev_scratch);
-    partition::workspace::set_enabled(prev_ws);
-    partition::fm_buckets::set_enabled(prev_fm);
-    return std::pair{stats, checkpoint.str()};
-  };
-
-  const auto base = run(true, true, true);
-  for (const auto& [label, stats_and_ckpt] :
-       {std::pair{"scratch off", run(false, true, true)},
-        std::pair{"workspace off", run(true, false, true)},
-        std::pair{"fm buckets off", run(true, true, false)},
-        std::pair{"all legacy", run(false, false, false)}}) {
-    expect_bit_identical(base.first, stats_and_ckpt.first, label);
-    EXPECT_EQ(base.second, stats_and_ckpt.second)
-        << label << ": checkpoint files differ";
-  }
-}
-
 TEST(PerfToggles, SimdAndParallelBisectionKeepStatsAndCheckpointsIdentical) {
-  // The PR-6 levers — SIMD-dispatched nn kernels and the thread-parallel
-  // recursive-bisection driver — are execution-strategy switches: training
-  // stats and the full serialized trainer state (parameters, Adam moments,
-  // RNG streams, buffers) must be byte-identical with each on or off. SIMD
-  // identity holds because every vector kernel preserves the scalar
-  // accumulation order under fp-contract=off; bisection identity holds
-  // because each subtree consumes a private split() RNG stream.
+  // The two execution strategies the code still chooses at run time — the
+  // SIMD tier of the nn kernels and whether recursive bisection fans out —
+  // must not change training: stats and the full serialized trainer state
+  // (parameters, Adam moments, RNG streams, buffers) are byte-identical on
+  // the scalar tier and on a 1-worker bisection pool. SIMD identity holds
+  // because every vector kernel preserves the scalar accumulation order
+  // under fp-contract=off; bisection identity holds because each subtree
+  // consumes a private split() RNG stream.
   const auto graphs = small_graphs(4, 53);
-  ThreadPool bisect_pool(4);
+  ThreadPool bisect_pool(4), one_worker(1);
+  const nn::simd::Tier active = nn::simd::active();
   auto run = [&](bool simd_on, bool par_bisect_on) {
-    const bool prev_simd = nn::kernels::set_simd(simd_on);
-    const bool prev_bisect = partition::set_parallel_bisection(par_bisect_on);
+    const nn::simd::Tier prev_tier =
+        nn::simd::set_tier(simd_on ? active : nn::simd::Tier::Scalar);
     ThreadPool* prev_pool =
-        partition::set_parallel_bisection_pool(par_bisect_on ? &bisect_pool : nullptr);
+        partition::set_parallel_bisection_pool(par_bisect_on ? &bisect_pool : &one_worker);
     ThreadPool serial(1);
     auto contexts = make_contexts(graphs, spec());
     gnn::CoarseningPolicy policy{gnn::PolicyConfig{}};
@@ -142,17 +75,16 @@ TEST(PerfToggles, SimdAndParallelBisectionKeepStatsAndCheckpointsIdentical) {
     for (int e = 0; e < 3; ++e) stats.push_back(trainer.train_epoch());
     std::ostringstream checkpoint;
     write_trainer_state(checkpoint, trainer.export_state());
-    nn::kernels::set_simd(prev_simd);
-    partition::set_parallel_bisection(prev_bisect);
+    nn::simd::set_tier(prev_tier);
     partition::set_parallel_bisection_pool(prev_pool);
     return std::pair{stats, checkpoint.str()};
   };
 
   const auto base = run(true, true);
   for (const auto& [label, stats_and_ckpt] :
-       {std::pair{"simd off", run(false, true)},
-        std::pair{"parallel bisection off", run(true, false)},
-        std::pair{"both off", run(false, false)}}) {
+       {std::pair{"scalar tier", run(false, true)},
+        std::pair{"1-worker bisection pool", run(true, false)},
+        std::pair{"both", run(false, false)}}) {
     expect_bit_identical(base.first, stats_and_ckpt.first, label);
     EXPECT_EQ(base.second, stats_and_ckpt.second)
         << label << ": checkpoint files differ";
@@ -160,29 +92,33 @@ TEST(PerfToggles, SimdAndParallelBisectionKeepStatsAndCheckpointsIdentical) {
 }
 
 TEST(PerfToggles, LogitCarryInvalidatedByExternalParamChange) {
-  // The batched path carries the greedy-pass logits into the next epoch's
+  // The trainer carries the greedy-pass logits into the next epoch's
   // sampling pass, guarded by a parameter fingerprint. Nudging a parameter
-  // between epochs (identically in both arms) must force the batched arm to
-  // recompute — stats stay bit-identical to the unbatched arm, which never
-  // carries anything.
+  // between epochs must force a recompute: stats stay bit-identical to a
+  // run that restores the state into a fresh trainer every epoch, which has
+  // nothing to carry.
   const auto graphs = small_graphs(3, 61);
-  auto run = [&](bool batched_on) {
+  auto run = [&](bool fresh_trainer_per_epoch) {
     ThreadPool serial(1);
     auto contexts = make_contexts(graphs, spec());
     gnn::CoarseningPolicy policy{gnn::PolicyConfig{}};
     TrainerConfig cfg;
     cfg.seed = 99;
-    cfg.batched_forward = batched_on;
     cfg.pool = &serial;
-    ReinforceTrainer trainer(policy, contexts, metis_placer(), cfg);
+    auto trainer = std::make_unique<ReinforceTrainer>(policy, contexts, metis_placer(), cfg);
     std::vector<EpochStats> out;
     for (int e = 0; e < 3; ++e) {
-      out.push_back(trainer.train_epoch());
+      out.push_back(trainer->train_epoch());
       policy.parameters()[0].value()[0] += 0.25;  // out-of-band edit
+      if (fresh_trainer_per_epoch) {
+        const TrainerState state = trainer->export_state();
+        trainer = std::make_unique<ReinforceTrainer>(policy, contexts, metis_placer(), cfg);
+        trainer->import_state(state);
+      }
     }
     return out;
   };
-  expect_bit_identical(run(true), run(false), "carry invalidation");
+  expect_bit_identical(run(false), run(true), "carry invalidation");
 }
 
 TEST(PerfToggles, DedupAccountsForEveryEpisode) {

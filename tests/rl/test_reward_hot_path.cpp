@@ -1,41 +1,25 @@
-// Property tests for the reward hot path's performance toggles (PR-5):
-// contraction scratch, partition workspace, and bucketed FM gain structure.
-// Every fast path claims bit-identity with its legacy twin, so the sweep
-// asserts EXPECT_EQ on raw reward doubles — no tolerance — across random
-// graphs, mask densities, all eight toggle combinations, and workspaces that
-// are forced to shrink and grow between calls on the same thread.
+// Property tests for the reward hot path's retained per-thread workspaces
+// (contraction scratch, partition workspace, FM scratch) and the
+// coarsen-only placer's partial edge selection. Rewards are compared as raw
+// doubles — no tolerance — against cold workspaces and a full-sort oracle,
+// across random graphs, mask densities, and workspaces that are forced to
+// shrink and grow between calls on the same thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "gen/generator.hpp"
 #include "graph/contraction.hpp"
-#include "partition/workspace.hpp"
+#include "graph/union_find.hpp"
 #include "rl/rollout.hpp"
 
 namespace sc::rl {
 namespace {
-
-// Sets all three hot-path toggles, restoring the previous values on scope
-// exit so test order can never leak toggle state.
-struct ToggleGuard {
-  ToggleGuard(bool scratch, bool ws, bool fm)
-      : prev_scratch_(graph::contraction_scratch::set_enabled(scratch)),
-        prev_ws_(partition::workspace::set_enabled(ws)),
-        prev_fm_(partition::fm_buckets::set_enabled(fm)) {}
-  ~ToggleGuard() {
-    graph::contraction_scratch::set_enabled(prev_scratch_);
-    partition::workspace::set_enabled(prev_ws_);
-    partition::fm_buckets::set_enabled(prev_fm_);
-  }
-  ToggleGuard(const ToggleGuard&) = delete;
-  ToggleGuard& operator=(const ToggleGuard&) = delete;
-
- private:
-  bool prev_scratch_, prev_ws_, prev_fm_;
-};
 
 std::vector<graph::StreamGraph> random_graphs(std::size_t count, std::size_t min_nodes,
                                               std::size_t max_nodes, std::uint64_t seed) {
@@ -58,44 +42,6 @@ gnn::EdgeMask random_mask(std::size_t edges, double density, Rng& rng) {
   return mask;
 }
 
-TEST(RewardHotPath, BitIdenticalAcrossAllToggleCombinations) {
-  const auto graphs = random_graphs(4, 12, 40, 401);
-  const auto contexts = make_contexts(graphs, spec());
-  const auto placer = metis_placer();
-  const double densities[] = {0.0, 0.2, 0.5, 0.8, 1.0};
-
-  // Reference rewards from the all-legacy configuration.
-  std::vector<std::vector<Episode>> expected;
-  {
-    ToggleGuard off(false, false, false);
-    for (const auto& ctx : contexts) {
-      Rng rng(7 * (expected.size() + 1));
-      auto& per_graph = expected.emplace_back();
-      for (const double d : densities) {
-        const auto mask = random_mask(ctx.graph->edges().size(), d, rng);
-        per_graph.push_back(evaluate_mask(ctx, mask, placer));
-      }
-    }
-  }
-
-  // Every other toggle combination must reproduce the exact doubles.
-  for (int bits = 1; bits < 8; ++bits) {
-    ToggleGuard combo((bits & 1) != 0, (bits & 2) != 0, (bits & 4) != 0);
-    for (std::size_t gi = 0; gi < contexts.size(); ++gi) {
-      Rng rng(7 * (gi + 1));  // same mask stream as the reference pass
-      for (std::size_t di = 0; di < std::size(densities); ++di) {
-        const auto mask = random_mask(contexts[gi].graph->edges().size(), densities[di], rng);
-        const Episode got = evaluate_mask(contexts[gi], mask, placer);
-        EXPECT_EQ(got.reward, expected[gi][di].reward)
-            << "toggles=" << bits << " graph=" << gi << " density=" << densities[di];
-        EXPECT_EQ(got.compression, expected[gi][di].compression)
-            << "toggles=" << bits << " graph=" << gi << " density=" << densities[di];
-        EXPECT_EQ(got.mask, expected[gi][di].mask);
-      }
-    }
-  }
-}
-
 TEST(RewardHotPath, WorkspaceSurvivesShrinkAndGrowBetweenGraphs) {
   // The same thread_local workspaces serve every call on this thread; bounce
   // between a large and a small graph so each evaluation reuses buffers sized
@@ -107,67 +53,79 @@ TEST(RewardHotPath, WorkspaceSurvivesShrinkAndGrowBetweenGraphs) {
   const auto placer = metis_placer();
   const double densities[] = {0.2, 0.5, 0.8};
 
-  auto eval_all = [&] {
-    std::vector<double> rewards;
-    for (int round = 0; round < 2; ++round) {
-      for (std::size_t i = 0; i < big_ctx.size(); ++i) {
-        Rng rng(11 * (i + 1) + round);
-        for (const double d : densities) {
-          // Interleave: big graph then small graph with buffers still warm
-          // from the big one, then back.
-          const auto bm = random_mask(big_ctx[i].graph->edges().size(), d, rng);
-          rewards.push_back(evaluate_mask(big_ctx[i], bm, placer).reward);
-          const auto sm = random_mask(small_ctx[i].graph->edges().size(), d, rng);
-          rewards.push_back(evaluate_mask(small_ctx[i], sm, placer).reward);
-        }
+  // Interleave: big graph then small graph with buffers still warm from the
+  // big one, then back. The reference evaluates each pair on a fresh thread,
+  // whose workspaces start cold.
+  std::vector<double> warm, cold;
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < big_ctx.size(); ++i) {
+      Rng rng(11 * (i + 1) + round);
+      for (const double d : densities) {
+        const auto bm = random_mask(big_ctx[i].graph->edges().size(), d, rng);
+        const auto sm = random_mask(small_ctx[i].graph->edges().size(), d, rng);
+        warm.push_back(evaluate_mask(big_ctx[i], bm, placer).reward);
+        warm.push_back(evaluate_mask(small_ctx[i], sm, placer).reward);
+        std::thread([&] {
+          cold.push_back(evaluate_mask(big_ctx[i], bm, placer).reward);
+        }).join();
+        std::thread([&] {
+          cold.push_back(evaluate_mask(small_ctx[i], sm, placer).reward);
+        }).join();
       }
     }
-    return rewards;
-  };
-
-  std::vector<double> legacy, fast;
-  {
-    ToggleGuard off(false, false, false);
-    legacy = eval_all();
   }
-  {
-    ToggleGuard on(true, true, true);
-    fast = eval_all();
-  }
-  ASSERT_EQ(legacy.size(), fast.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(fast[i], legacy[i]) << "evaluation " << i;
+  ASSERT_EQ(warm.size(), cold.size());
+  for (std::size_t i = 0; i < warm.size(); ++i) {
+    EXPECT_EQ(warm[i], cold[i]) << "evaluation " << i;
   }
 }
 
+/// Reference coarsen-only placement: a full stable sort of the coarse edges
+/// by weight (descending; equal weights keep id order), union the heaviest
+/// until at most `devices` components remain, then assign devices
+/// round-robin over the components in first-seen order.
+sim::Placement coarsen_only_oracle(const graph::Coarsening& c, std::size_t devices) {
+  const std::size_t n = c.coarse.num_nodes();
+  std::vector<int> coarse_device(n);
+  std::vector<graph::EdgeId> order(c.coarse.num_edges());
+  std::iota(order.begin(), order.end(), graph::EdgeId{0});
+  std::stable_sort(order.begin(), order.end(), [&](graph::EdgeId a, graph::EdgeId b) {
+    return c.coarse.edge(a).weight > c.coarse.edge(b).weight;
+  });
+  graph::UnionFind dsu(n);
+  for (const graph::EdgeId e : order) {
+    if (dsu.num_components() <= devices) break;
+    dsu.unite(c.coarse.edge(e).a, c.coarse.edge(e).b);
+  }
+  std::vector<int> root_device(n, -1);
+  int next = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::size_t root = dsu.find(v);
+    if (root_device[root] < 0) root_device[root] = next++ % static_cast<int>(devices);
+    coarse_device[v] = root_device[root];
+  }
+  return c.expand_placement(coarse_device);
+}
+
 TEST(RewardHotPath, CoarsenOnlyPlacerMatchesAcrossToggles) {
-  // The coarsen-only placer has its own workspace path (partial selection of
-  // the heaviest edges instead of a full sort); sweep it too.
+  // The coarsen-only placer selects the heaviest edges in doubling batches
+  // instead of sorting them all; it must place exactly like the full sort.
   const auto graphs = random_graphs(3, 10, 30, 404);
   const auto contexts = make_contexts(graphs, spec());
   const auto placer = coarsen_only_placer();
-  const double densities[] = {0.1, 0.4, 0.7};
+  const double densities[] = {0.0, 0.1, 0.4, 0.7};
 
-  std::vector<double> legacy, fast;
-  auto eval_all = [&](std::vector<double>& out) {
-    for (std::size_t gi = 0; gi < contexts.size(); ++gi) {
-      Rng rng(13 * (gi + 1));
-      for (const double d : densities) {
-        const auto mask = random_mask(contexts[gi].graph->edges().size(), d, rng);
-        out.push_back(evaluate_mask(contexts[gi], mask, placer).reward);
-      }
+  for (std::size_t gi = 0; gi < contexts.size(); ++gi) {
+    Rng rng(13 * (gi + 1));
+    for (const double d : densities) {
+      const auto mask = random_mask(contexts[gi].graph->edges().size(), d, rng);
+      std::vector<bool> bits(mask.begin(), mask.end());
+      const graph::Coarsening c = graph::contract(*contexts[gi].graph, contexts[gi].profile, bits);
+      EXPECT_EQ(placer(c, contexts[gi].simulator),
+                coarsen_only_oracle(c, contexts[gi].simulator.spec().num_devices))
+          << "graph " << gi << " density " << d;
     }
-  };
-  {
-    ToggleGuard off(false, false, false);
-    eval_all(legacy);
   }
-  {
-    ToggleGuard on(true, true, true);
-    eval_all(fast);
-  }
-  ASSERT_EQ(legacy.size(), fast.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) EXPECT_EQ(fast[i], legacy[i]);
 }
 
 }  // namespace

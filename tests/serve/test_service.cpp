@@ -1,5 +1,5 @@
-// AllocationService: deterministic pump()-driven pipeline tests — batched /
-// unbatched bit-identity, in-batch dedup, tail-cache reuse, shedding, error
+// AllocationService: deterministic pump()-driven pipeline tests — batched
+// (max_batch 8) / unbatched (max_batch 1) bit-identity, in-batch dedup, tail-cache reuse, shedding, error
 // isolation, threaded drain/stop, and threaded-vs-pump() bit-identity.
 #include "serve/service.hpp"
 
@@ -31,12 +31,11 @@ sim::ClusterSpec small_spec() {
 
 gnn::CoarseningPolicy test_policy() { return gnn::CoarseningPolicy{gnn::PolicyConfig{}}; }
 
-ServeConfig pump_config(bool batched) {
+ServeConfig pump_config(std::size_t max_batch = 8) {
   ServeConfig cfg;
   cfg.workers = 0;  // caller drives via pump(): fully deterministic
   cfg.queue_depth = 64;
-  cfg.max_batch = 8;
-  cfg.batched = batched;
+  cfg.max_batch = max_batch;
   return cfg;
 }
 
@@ -66,7 +65,7 @@ void run_requests(AllocationService& svc, std::vector<AllocRequest> reqs,
 }
 
 TEST(AllocationService, PumpAnswersEveryRequest) {
-  AllocationService svc(test_policy(), rl::coarsen_only_placer(), pump_config(true));
+  AllocationService svc(test_policy(), rl::coarsen_only_placer(), pump_config());
   std::vector<AllocRequest> reqs;
   for (std::uint64_t id = 1; id <= 4; ++id) {
     reqs.push_back(request_for(id, test::make_chain(4 + id)));
@@ -89,8 +88,8 @@ TEST(AllocationService, PumpAnswersEveryRequest) {
 }
 
 TEST(AllocationService, BatchedAndUnbatchedAreBitIdentical) {
-  AllocationService batched(test_policy(), rl::coarsen_only_placer(), pump_config(true));
-  AllocationService unbatched(test_policy(), rl::coarsen_only_placer(), pump_config(false));
+  AllocationService batched(test_policy(), rl::coarsen_only_placer(), pump_config());
+  AllocationService unbatched(test_policy(), rl::coarsen_only_placer(), pump_config(1));
   std::vector<AllocRequest> a, b;
   for (std::uint64_t id = 1; id <= 5; ++id) {
     a.push_back(request_for(id, test::make_chain(3 + id), /*best_of=*/2));
@@ -99,6 +98,8 @@ TEST(AllocationService, BatchedAndUnbatchedAreBitIdentical) {
   std::map<std::uint64_t, AllocResponse> ra, rb;
   run_requests(batched, std::move(a), ra);
   run_requests(unbatched, std::move(b), rb);
+  EXPECT_EQ(batched.stats().max_batch_observed, 5u);
+  EXPECT_EQ(unbatched.stats().max_batch_observed, 1u);
   for (std::uint64_t id = 1; id <= 5; ++id) {
     EXPECT_EQ(ra[id].placement, rb[id].placement) << "request " << id;
     EXPECT_EQ(ra[id].throughput, rb[id].throughput) << "request " << id;
@@ -107,7 +108,7 @@ TEST(AllocationService, BatchedAndUnbatchedAreBitIdentical) {
 }
 
 TEST(AllocationService, DuplicateRequestsShareOneForwardSlot) {
-  AllocationService svc(test_policy(), rl::coarsen_only_placer(), pump_config(true));
+  AllocationService svc(test_policy(), rl::coarsen_only_placer(), pump_config());
   std::vector<AllocRequest> reqs;
   for (std::uint64_t id = 1; id <= 4; ++id) {
     reqs.push_back(request_for(id, test::make_chain(6)));  // same job, 4 times
@@ -123,7 +124,7 @@ TEST(AllocationService, DuplicateRequestsShareOneForwardSlot) {
 }
 
 TEST(AllocationService, TailCacheReusesRecurringWinners) {
-  AllocationService svc(test_policy(), rl::coarsen_only_placer(), pump_config(true));
+  AllocationService svc(test_policy(), rl::coarsen_only_placer(), pump_config());
   std::map<std::uint64_t, AllocResponse> first, second;
   {
     std::vector<AllocRequest> reqs;
@@ -147,7 +148,7 @@ TEST(AllocationService, TailCacheReusesRecurringWinners) {
 }
 
 TEST(AllocationService, ReportRequestsMatchMemoizedNumbers) {
-  AllocationService svc(test_policy(), rl::coarsen_only_placer(), pump_config(true));
+  AllocationService svc(test_policy(), rl::coarsen_only_placer(), pump_config());
   std::map<std::uint64_t, AllocResponse> plain, reported;
   {
     std::vector<AllocRequest> reqs;
@@ -166,7 +167,7 @@ TEST(AllocationService, ReportRequestsMatchMemoizedNumbers) {
 }
 
 TEST(AllocationService, ShedsFailLoudlyWhenQueueIsFull) {
-  ServeConfig cfg = pump_config(true);
+  ServeConfig cfg = pump_config();
   cfg.queue_depth = 2;
   AllocationService svc(test_policy(), rl::coarsen_only_placer(), cfg);
   bool responded = false;
@@ -184,7 +185,7 @@ TEST(AllocationService, ShedsFailLoudlyWhenQueueIsFull) {
 }
 
 TEST(AllocationService, BadRequestFailsAloneNotTheBatch) {
-  AllocationService svc(test_policy(), rl::coarsen_only_placer(), pump_config(true));
+  AllocationService svc(test_policy(), rl::coarsen_only_placer(), pump_config());
   auto bad = request_for(1, test::make_chain(4));
   bad.spec.num_devices = 0;  // simulator construction rejects this
   std::vector<AllocRequest> reqs;
@@ -246,11 +247,11 @@ TEST(AllocationService, ThreadedWorkersMatchPumpBitForBit) {
     return reqs;
   };
 
-  AllocationService pumped(test_policy(), rl::metis_placer(), pump_config(true));
+  AllocationService pumped(test_policy(), rl::metis_placer(), pump_config());
   std::map<std::uint64_t, AllocResponse> expected;
   run_requests(pumped, requests(), expected);
 
-  ServeConfig cfg = pump_config(true);
+  ServeConfig cfg = pump_config();
   cfg.workers = 2;
   cfg.batch_window_us = 50;
   AllocationService threaded(test_policy(), rl::metis_placer(), cfg);

@@ -43,7 +43,8 @@ Rules (each can be suppressed per line with `// sc-lint: allow(<rule>)`):
                        read_graph/to_weighted calls, and no containers of
                        Operator/Channel/StreamGraph. These are the Huge-tier
                        ingest and partitioning functions (DESIGN.md §9) whose
-                       bounded-memory contract bench_huge proves; a full
+                       bounded memory the huge-stream benchmark measures
+                       (peak_rss_mb in bench/e2e); a full
                        materialization silently reverts the tier to O(graph)
                        residency. Const references to a StreamGraph are fine —
                        the rule targets construction, not access.

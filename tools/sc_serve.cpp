@@ -9,7 +9,7 @@
 //
 //   sc_serve --model m.ckpt [--socket /tmp/sc_serve.sock | --port 7777]
 //            [--workers N] [--queue-depth N] [--max-batch N]
-//            [--batch-window-us N] [--no-batch] [--best-of-cap K]
+//            [--batch-window-us N] [--best-of-cap K]
 //            [--placer metis|oracle|coarsen-only] [--setting medium]
 //            [--threads N]
 //
@@ -236,7 +236,6 @@ int run_server(const sc::Flags& flags) {
   cfg.queue_depth = static_cast<std::size_t>(flags.get_int("queue-depth", 256));
   cfg.max_batch = static_cast<std::size_t>(flags.get_int("max-batch", 16));
   cfg.batch_window_us = static_cast<std::size_t>(flags.get_int("batch-window-us", 200));
-  cfg.batched = !flags.get_bool("no-batch", false);
   const auto best_of_cap = static_cast<std::size_t>(flags.get_int("best-of-cap", 64));
   const sim::ClusterSpec default_spec = tools::spec_from_flags(flags);
 
@@ -256,8 +255,8 @@ int run_server(const sc::Flags& flags) {
   std::signal(SIGPIPE, SIG_IGN);
 
   std::cout << "sc_serve: listening on " << endpoint << " (workers=" << cfg.workers
-            << ", queue=" << cfg.queue_depth << ", batch=" << (cfg.batched ? "on" : "off")
-            << " max=" << cfg.max_batch << " window=" << cfg.batch_window_us << "us)"
+            << ", queue=" << cfg.queue_depth << ", batch max=" << cfg.max_batch
+            << " window=" << cfg.batch_window_us << "us)"
             << std::endl;
 
   std::vector<std::thread> conn_threads;
@@ -351,7 +350,7 @@ int main(int argc, char** argv) try {
   const Flags flags(argc, argv);
   flags.check_unknown(tools::known_flags(
       {"model", "socket", "port", "workers", "queue-depth", "max-batch",
-       "batch-window-us", "no-batch", "best-of-cap", "placer", "connect", "data",
+       "batch-window-us", "best-of-cap", "placer", "connect", "data",
        "best-of", "seed", "report", "stats", "shutdown"}));
   configure_threads_from_flags(flags);
   tools::apply_validation_from_flags(flags);
@@ -361,7 +360,7 @@ int main(int argc, char** argv) try {
     tools::usage(
         "usage (server): sc_serve --model <ckpt> [--socket PATH | --port N]\n"
         "                [--workers N] [--queue-depth N] [--max-batch N]\n"
-        "                [--batch-window-us N] [--no-batch] [--best-of-cap K]\n"
+        "                [--batch-window-us N] [--best-of-cap K]\n"
         "                [--placer metis|oracle|coarsen-only] [--setting medium]\n"
         "usage (client): sc_serve --connect <path|host:port>\n"
         "                (--data graphs.txt [--best-of K] [--report] | --stats |\n"
