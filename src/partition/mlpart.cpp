@@ -420,42 +420,6 @@ const std::vector<int>& partition_attempt_ws(const WeightedGraph& g,
   return ws.part_a;
 }
 
-/// partition() restarts loop: the lowest cut wins, ties go to the better
-/// balance. The returned vector is the one API-boundary allocation
-/// (documented in DESIGN.md §5.4).
-std::vector<int> partition_ws(const WeightedGraph& g, const std::vector<double>& fractions,
-                              const PartitionOptions& opts) {
-  PartitionWorkspace& ws = PartitionWorkspace::local();
-  const std::size_t k = fractions.size();
-  double best_cut = std::numeric_limits<double>::infinity();
-  double best_imb = std::numeric_limits<double>::infinity();
-  const std::size_t restarts = std::max<std::size_t>(1, opts.restarts);
-  for (std::size_t r = 0; r < restarts; ++r) {
-    const std::vector<int>& part =
-        partition_attempt_ws(g, fractions, opts.seed + r * 7919, opts, ws);
-    const double cut = cut_weight(g, part);
-    // imbalance() without its part_weights() temporary: same accumulation
-    // order, max_element over the same values.
-    ws.part_w.assign(k, 0.0);
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      ws.part_w[static_cast<std::size_t>(part[v])] += g.node_weight(v);
-    }
-    const double avg = g.total_node_weight() / static_cast<double>(k);
-    const double imb =
-        avg <= 0.0 ? 1.0 : *std::max_element(ws.part_w.begin(), ws.part_w.end()) / avg;
-    if (cut < best_cut - 1e-12 ||
-        (std::abs(cut - best_cut) <= 1e-12 && imb < best_imb)) {
-      best_cut = cut;
-      best_imb = imb;
-      ws.best_part.assign(part.begin(), part.end());
-    }
-  }
-  // Checked-build contract: every node assigned to an existing part.
-  SC_VALIDATE_AT(Deep,
-                 analysis::validate_partition(ws.best_part, g.num_nodes(), fractions.size()));
-  return std::vector<int>(ws.best_part.begin(), ws.best_part.end());
-}
-
 }  // namespace
 
 ThreadPool* set_parallel_bisection_pool(ThreadPool* pool) {
@@ -479,7 +443,37 @@ std::vector<int> MultilevelPartitioner::partition(
     SC_CHECK(f > 0.0, "part fractions must be positive");
   }
   if (fractions.size() == 1) return std::vector<int>(g.num_nodes(), 0);
-  return partition_ws(g, fractions, opts_);
+  // Restarts: the lowest cut wins, ties go to the better balance. The
+  // returned vector is the one API-boundary allocation (DESIGN.md §5.4).
+  PartitionWorkspace& ws = PartitionWorkspace::local();
+  const std::size_t k = fractions.size();
+  double best_cut = std::numeric_limits<double>::infinity();
+  double best_imb = std::numeric_limits<double>::infinity();
+  const std::size_t restarts = std::max<std::size_t>(1, opts_.restarts);
+  for (std::size_t r = 0; r < restarts; ++r) {
+    const std::vector<int>& part =
+        partition_attempt_ws(g, fractions, opts_.seed + r * 7919, opts_, ws);
+    const double cut = cut_weight(g, part);
+    // imbalance() without its part_weights() temporary: same accumulation
+    // order, max_element over the same values.
+    ws.part_w.assign(k, 0.0);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      ws.part_w[static_cast<std::size_t>(part[v])] += g.node_weight(v);
+    }
+    const double avg = g.total_node_weight() / static_cast<double>(k);
+    const double imb =
+        avg <= 0.0 ? 1.0 : *std::max_element(ws.part_w.begin(), ws.part_w.end()) / avg;
+    if (cut < best_cut - 1e-12 ||
+        (std::abs(cut - best_cut) <= 1e-12 && imb < best_imb)) {
+      best_cut = cut;
+      best_imb = imb;
+      ws.best_part.assign(part.begin(), part.end());
+    }
+  }
+  // Checked-build contract: every node assigned to an existing part.
+  SC_VALIDATE_AT(Deep,
+                 analysis::validate_partition(ws.best_part, g.num_nodes(), fractions.size()));
+  return std::vector<int>(ws.best_part.begin(), ws.best_part.end());
 }
 
 std::vector<NodeId> MultilevelPartitioner::coarsen_to(const WeightedGraph& g,

@@ -72,8 +72,9 @@ struct FmScratch {
 void flatten_adjacency(const WeightedGraph& g, FmScratch& s) {
   const std::size_t n = g.num_nodes();
   // adj_off is deliberately int32 (halves the scratch footprint); the
-  // flattened incidence has 2m entries, so fail loudly instead of wrapping once 2m no longer fits. Huge-tier graphs reach
-  // FM only after coarsening, far below this bound.
+  // flattened incidence has 2m entries, so fail loudly instead of wrapping
+  // once 2m no longer fits. Huge-tier graphs reach FM only after coarsening,
+  // far below this bound.
   SC_CHECK(g.num_edges() <= (std::size_t{1} << 30),
            "FM refinement supports at most 2^30 edges (got " << g.num_edges() << ")");
   s.adj_off.resize(n + 1);
@@ -93,6 +94,21 @@ void flatten_adjacency(const WeightedGraph& g, FmScratch& s) {
   }
 }
 
+/// Greedy k-way refinement buffers, one set per thread.
+struct KwayBuffers {
+  std::vector<double> lmax;
+  std::vector<double> weight;
+  std::vector<double> conn;
+  std::vector<int> touched;
+
+  static KwayBuffers& local() {
+    thread_local KwayBuffers buffers;
+    return buffers;
+  }
+};
+
+}  // namespace
+
 /// FM passes with rollback. Each step's best move comes from the lazy heap:
 /// every unlocked node always owns at least one FRESH entry (key ==
 /// gain_key_bits of its current gain) — seeded at pass start, re-pushed
@@ -105,9 +121,10 @@ void flatten_adjacency(const WeightedGraph& g, FmScratch& s) {
 /// argmax. Per-step cost is O((stale + stash + 1) log n). Marked hot-path:
 /// after warm-up it allocates nothing.
 // sc-lint: hot-path
-double fm_refine_heap(const WeightedGraph& g, std::vector<int>& part,
-                                double target0, double eps, std::size_t max_passes,
-                                FmScratch& s) {
+double fm_refine_bisection(const WeightedGraph& g, std::vector<int>& part,
+                           double target0, double eps, std::size_t max_passes) {
+  SC_CHECK(part.size() == g.num_nodes(), "partition size mismatch");
+  FmScratch& s = FmScratch::local();
   const std::size_t n = g.num_nodes();
   const double total = g.total_node_weight();
   const double target1 = total - target0;
@@ -229,26 +246,27 @@ double fm_refine_heap(const WeightedGraph& g, std::vector<int>& part,
   return cut;
 }
 
-// ---------------------------------------------------------------------------
-// Greedy k-way refinement over a thread-local set of buffers.
-// ---------------------------------------------------------------------------
+void fm_refine_bind(const WeightedGraph& g) {
+  FmScratch& s = FmScratch::local();
+  flatten_adjacency(g, s);
+  s.bound = &g;
+}
 
-struct KwayBuffers {
-  std::vector<double> lmax;
-  std::vector<double> weight;
-  std::vector<double> conn;
-  std::vector<int> touched;
-
-  static KwayBuffers& local() {
-    thread_local KwayBuffers buffers;
-    return buffers;
-  }
-};
+double greedy_kway_refine(const WeightedGraph& g, std::vector<int>& part, std::size_t k,
+                          double eps, std::size_t max_passes) {
+  SC_CHECK(k >= 1, "k must be positive");
+  // Convenience overload for cold callers; the partitioner's hot path calls
+  // the targets overload with workspace-held targets.
+  const std::vector<double> targets(  // sc-lint: allow(transitive-alloc)
+      k, g.total_node_weight() / static_cast<double>(k));
+  return greedy_kway_refine(g, part, targets, eps, max_passes);
+}
 
 // sc-lint: hot-path
-double greedy_kway_impl(const WeightedGraph& g, std::vector<int>& part,
-                        const std::vector<double>& targets, double eps,
-                        std::size_t max_passes, KwayBuffers& b) {
+double greedy_kway_refine(const WeightedGraph& g, std::vector<int>& part,
+                          const std::vector<double>& targets, double eps,
+                          std::size_t max_passes) {
+  KwayBuffers& b = KwayBuffers::local();
   SC_CHECK(part.size() == g.num_nodes(), "partition size mismatch");
   SC_CHECK(!targets.empty(), "need at least one part");
   const std::size_t k = targets.size();
@@ -334,36 +352,6 @@ double greedy_kway_impl(const WeightedGraph& g, std::vector<int>& part,
     if (!moved_any) break;
   }
   return cut;
-}
-
-}  // namespace
-
-double fm_refine_bisection(const WeightedGraph& g, std::vector<int>& part,
-                           double target0, double eps, std::size_t max_passes) {
-  SC_CHECK(part.size() == g.num_nodes(), "partition size mismatch");
-  return fm_refine_heap(g, part, target0, eps, max_passes, FmScratch::local());
-}
-
-void fm_refine_bind(const WeightedGraph& g) {
-  FmScratch& s = FmScratch::local();
-  flatten_adjacency(g, s);
-  s.bound = &g;
-}
-
-double greedy_kway_refine(const WeightedGraph& g, std::vector<int>& part, std::size_t k,
-                          double eps, std::size_t max_passes) {
-  SC_CHECK(k >= 1, "k must be positive");
-  // Convenience overload for cold callers; the partitioner's hot path calls
-  // the targets overload with workspace-held targets.
-  const std::vector<double> targets(  // sc-lint: allow(transitive-alloc)
-      k, g.total_node_weight() / static_cast<double>(k));
-  return greedy_kway_refine(g, part, targets, eps, max_passes);
-}
-
-double greedy_kway_refine(const WeightedGraph& g, std::vector<int>& part,
-                          const std::vector<double>& targets, double eps,
-                          std::size_t max_passes) {
-  return greedy_kway_impl(g, part, targets, eps, max_passes, KwayBuffers::local());
 }
 
 }  // namespace sc::partition

@@ -56,6 +56,7 @@ TEST(HugeTier, PlacementIdenticalAcrossPoolSizes) {
   cfg.topology.min_nodes = 24'000;
   cfg.topology.max_nodes = 26'000;
   const auto graphs = gen::generate_graphs(cfg, 1, 0x5eed, "huge/");
+  ASSERT_GE(graphs[0].num_nodes(), 24'000u);
   const std::filesystem::path path =
       std::filesystem::temp_directory_path() /
       ("sc_huge_thread_identity_" + std::to_string(::getpid()) + ".txt");

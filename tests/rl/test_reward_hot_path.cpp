@@ -54,8 +54,8 @@ TEST(RewardHotPath, WorkspaceSurvivesShrinkAndGrowBetweenGraphs) {
   const double densities[] = {0.2, 0.5, 0.8};
 
   // Interleave: big graph then small graph with buffers still warm from the
-  // big one, then back. The reference evaluates each pair on a fresh thread,
-  // whose workspaces start cold.
+  // big one, then back. The reference repeats each evaluation on a fresh
+  // thread, whose workspaces start cold.
   std::vector<double> warm, cold;
   for (int round = 0; round < 2; ++round) {
     for (std::size_t i = 0; i < big_ctx.size(); ++i) {

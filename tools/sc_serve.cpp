@@ -13,6 +13,9 @@
 //            [--placer metis|oracle|coarsen-only] [--setting medium]
 //            [--threads N]
 //
+// --max-batch 1 serves every request in its own encoder forward; results
+// are the same at any batch size.
+//
 // Request parallelism comes from --workers: each worker runs its whole
 // request on its own thread and never fans out to the thread pool (DESIGN.md
 // §8). --threads N only sizes the process-wide pool, which no server worker
