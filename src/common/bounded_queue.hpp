@@ -40,14 +40,17 @@ public:
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
   /// Non-blocking push. Returns false (and leaves `item` unspecified-moved
-  /// only on success) when the queue is full or closed.
+  /// only on success) when the queue is full or closed. On success, `depth`
+  /// (if given) receives the queue's size right after this push, read under
+  /// the lock: a size() call afterwards can already see a consumer's pop.
   // sc-lint: serve-hot-path
-  bool try_push(T&& item) SC_EXCLUDES(mutex_) {
+  bool try_push(T&& item, std::size_t* depth = nullptr) SC_EXCLUDES(mutex_) {
     {
       MutexLock lock(mutex_);
       if (closed_ || count_ == capacity_) return false;
       ring_[(head_ + count_) % capacity_] = std::move(item);
       ++count_;
+      if (depth != nullptr) *depth = count_;
     }
     cv_.notify_one();
     return true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <utility>
 
 namespace sc {
@@ -12,6 +13,54 @@ namespace {
 std::atomic<std::size_t> g_global_threads{0};
 std::atomic<bool> g_global_built{false};
 thread_local bool t_in_worker = false;
+
+/// Polls of claim_for's wait before it sleeps in std::atomic::wait: long
+/// enough to cover a helper finishing a short panel, short enough that a
+/// waiter whose helper was preempted soon yields its core.
+constexpr int kClaimSpins = 1024;
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  __asm__ __volatile__("yield");
+#endif
+}
+
+/// State of one claim_for call, shared by the caller and its helper tasks.
+/// `fn` stays valid while `pending` > 0: the caller returns only after every
+/// index has finished, and a helper touches fn only for an index it claimed.
+struct ClaimState {
+  ClaimState(std::size_t count, const std::function<void(std::size_t)>* body)
+      : n(count), fn(body), pending(count) {}
+
+  /// Claims and runs indices until none is left. Once an index has thrown,
+  /// later claims are counted off without running.
+  void work() {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1);
+      if (i >= n) return;
+      if (!failed.load()) {
+        try {
+          (*fn)(i);
+        } catch (...) {
+          if (!failed.exchange(true)) error = std::current_exception();
+        }
+      }
+      // Publishes this index's writes (and `error`) to the caller, which
+      // reads them once it has seen `pending` reach 0.
+      if (pending.fetch_sub(1) == 1) pending.notify_all();
+    }
+  }
+
+  const std::size_t n;
+  const std::function<void(std::size_t)>* const fn;
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> pending;  ///< indices not yet finished or skipped
+  std::atomic<bool> failed{false};
+  /// Written once, by the thread whose exchange set `failed`.
+  std::exception_ptr error;
+};
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -78,6 +127,23 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
     });
   }
   group.wait();
+}
+
+void ThreadPool::claim_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
+  if (n == 0) return;
+  const std::size_t workers = workers_.size();
+  if (n <= 1 || workers <= 1 || in_worker()) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  const auto state = std::make_shared<ClaimState>(n, &fn);
+  const std::size_t helpers = std::min(n - 1, workers);
+  for (std::size_t h = 0; h < helpers; ++h) enqueue([state] { state->work(); });
+  state->work();
+  // Every index is claimed now; wait for the ones helpers are still running.
+  for (int spin = 0; spin < kClaimSpins && state->pending.load() != 0; ++spin) cpu_relax();
+  for (std::size_t left; (left = state->pending.load()) != 0;) state->pending.wait(left);
+  if (state->error) std::rethrow_exception(state->error);
 }
 
 ThreadPool& ThreadPool::global() {

@@ -1,10 +1,12 @@
-// Minimal work-stealing-free thread pool with a parallel_for helper.
+// Minimal work-stealing-free thread pool with parallel_for and claim_for.
 //
 // Used to fan out simulator evaluations, dataset scoring and batched
-// linear algebra. Work reaches the pool only through a TaskGroup: each group
-// counts its own tasks, and its wait() blocks on those tasks alone and
-// rethrows only their first exception. Concurrent callers sharing one pool
-// therefore never wait on each other's work (DESIGN.md §5).
+// linear algebra. parallel_for's work reaches the pool through a TaskGroup:
+// each group counts its own tasks, and its wait() blocks on those tasks alone
+// and rethrows only their first exception. claim_for's helpers share one
+// claim counter with the caller instead, and the caller waits only on the
+// indices they claimed. Either way, concurrent callers sharing one pool
+// never wait on each other's work (DESIGN.md §5).
 //
 // Lock discipline (compiler-checked under Clang, DESIGN.md §10): the task
 // queue is guarded by the pool's `mutex_`, each group's completion state by
@@ -124,6 +126,21 @@ public:
   /// n, and when called from a pool worker thread or an InlineScope (a nested
   /// wait on the owning pool could deadlock).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn)
+      SC_EXCLUDES(mutex_);
+
+  /// Run fn(i) for i in [0, n) with the caller working too, blocking until
+  /// done. The caller and at most min(n - 1, size()) helper tasks claim
+  /// indices from one shared counter until none is left; the caller then
+  /// waits (a bounded spin, then std::atomic::wait) only for indices a helper
+  /// has already claimed, never for a helper that has not started. The claim
+  /// state is shared-owned, so a helper that starts after the call returned
+  /// finds nothing to claim and exits without touching fn. Rethrows the first
+  /// exception of fn on the caller, once; no index starts after it was
+  /// caught. Runs inline for n <= 1, on a 1-worker pool, and when called from
+  /// a pool worker or an InlineScope. Meant for short fan-outs whose caller
+  /// has nothing else to do (the nn row panels, DESIGN.md §5.5); coarse loops
+  /// keep parallel_for's schedule.
+  void claim_for(std::size_t n, const std::function<void(std::size_t)>& fn)
       SC_EXCLUDES(mutex_);
 
   /// Process-wide shared pool (lazily constructed).

@@ -33,7 +33,9 @@ GraphFeatures extract_features(const graph::StreamGraph& g,
                                const graph::LoadProfile& profile,
                                const sim::ClusterSpec& spec);
 
-/// Block-diagonal packing of several graphs into one feature set.
+/// Block-diagonal packing of several graphs into one feature set. sc_serve
+/// batches concurrent requests this way (serve/service.cpp); the trainer
+/// runs one forward per graph on pool tasks instead (DESIGN.md §5.3).
 ///
 /// Node rows are concatenated in input order and edge endpoints are shifted
 /// by each graph's node offset, so a single encoder/scorer forward over

@@ -555,13 +555,14 @@ private:
       }
       if (!c->lines.empty()) {
         c->seq = next_seq_++;
-        if (!q_parse_.try_push(std::move(c))) return;  // closed: aborting
+        std::size_t depth = 0;
+        if (!q_parse_.try_push(std::move(c), &depth)) return;  // closed: aborting
         {
           MutexLock lock(m_);
           ++pushed_;
         }
         ++chunk_count_;
-        queue_peak_ = std::max(queue_peak_, q_parse_.size());
+        queue_peak_ = std::max(queue_peak_, depth);
       } else if (!carve_failed) {
         if (!q_free_.try_push(std::move(c))) return;
       }

@@ -163,11 +163,12 @@ public:
     // try_push leaves `batch` intact on failure, so spinning on the same
     // object is safe. A closed queue means the accumulator died; stop
     // feeding it and let finish() surface the stored error.
-    while (!q_.try_push(std::move(batch))) {
+    std::size_t depth = 0;
+    while (!q_.try_push(std::move(batch), &depth)) {
       if (q_.closed()) return;
       std::this_thread::yield();
     }
-    peak_ = std::max(peak_, q_.size());
+    peak_ = std::max(peak_, depth);
   }
 
   /// Joins the accumulator and returns the per-node counts, resized to `n`

@@ -38,7 +38,8 @@ ReinforceTrainer::ReinforceTrainer(gnn::CoarseningPolicy& policy,
       cfg_(cfg),
       buffer_(contexts.size(), cfg.buffer_capacity),
       optimizer_(policy.parameters(), cfg.adam),
-      rng_(cfg.seed) {
+      rng_(cfg.seed),
+      logits_carry_(contexts.size()) {
   SC_CHECK(!contexts_.empty(), "trainer needs at least one graph context");
   SC_CHECK(cfg_.on_policy_samples > 0, "need at least one on-policy sample");
   if (cfg_.metis_guidance) seed_metis_guidance();
@@ -64,15 +65,11 @@ std::uint64_t ReinforceTrainer::params_fingerprint() const {
   return h;
 }
 
-const gnn::BatchedGraphFeatures& ReinforceTrainer::batched_features() {
-  if (!batched_built_) {
-    std::vector<const gnn::GraphFeatures*> parts;
-    parts.reserve(contexts_.size());
-    for (const GraphContext& ctx : contexts_) parts.push_back(&ctx.features);
-    batched_ = gnn::batch_features(parts);
-    batched_built_ = true;
-  }
-  return batched_;
+void ReinforceTrainer::encode_no_grad(std::size_t gi) {
+  // The guard is thread-local, so it goes inside the pool task.
+  nn::NoGradGuard no_grad;
+  prof::ScopedTimer timer(prof::Phase::Encode);
+  logits_carry_[gi] = policy_.logits(contexts_[gi].features).value();
 }
 
 void ReinforceTrainer::seed_metis_guidance() {
@@ -122,32 +119,21 @@ EpochStats ReinforceTrainer::train_epoch() {
   // then evaluate all graph × sample pairs in a single parallel_for: the
   // per-graph sample count alone is often too small to fill the pool.
   //
-  // The epoch-start logits come from ONE block-diagonal encoder forward over
-  // every context (sliced per graph by edge offset), bit-identical to a
-  // per-graph forward.
+  // Parameters are untouched between the previous epoch's greedy pass and
+  // this sampling pass, so the carried greedy-pass logits are exactly what a
+  // forward would recompute; the fingerprint check catches any out-of-band
+  // parameter edit and forces fresh forwards, one graph per pool task.
+  const bool refresh = !logits_carry_valid_ || carry_fingerprint_ != params_fingerprint();
   std::vector<std::vector<gnn::EdgeMask>> masks(num_graphs);
-  {
-    nn::NoGradGuard no_grad;
-    const gnn::BatchedGraphFeatures& batch = batched_features();
-    // Parameters are untouched between the previous epoch's greedy pass and
-    // this sampling pass, so the carried greedy-pass logits are exactly what
-    // this forward would recompute; the fingerprint check catches any
-    // out-of-band parameter edit and forces a fresh forward.
-    if (!logits_carry_valid_ || carry_fingerprint_ != params_fingerprint()) {
-      prof::ScopedTimer timer(prof::Phase::Encode);
-      logits_carry_ = policy_.logits(batch.merged).value();
+  pool().parallel_for(num_graphs, [&](std::size_t gi) {
+    if (refresh) encode_no_grad(gi);
+    prof::ScopedTimer timer(prof::Phase::Sample);
+    masks[gi].reserve(samples);
+    for (std::size_t s = 0; s < samples; ++s) {
+      Rng sample_rng(derive_seed(epoch_seed, gi * samples + s));
+      masks[gi].push_back(policy_.sample(logits_carry_[gi], sample_rng));
     }
-    const std::vector<double>& batched_vals = logits_carry_;
-    pool().parallel_for(num_graphs, [&](std::size_t gi) {
-      const std::vector<double> vals = gnn::logit_slice(batched_vals, batch, gi);
-      prof::ScopedTimer timer(prof::Phase::Sample);
-      masks[gi].reserve(samples);
-      for (std::size_t s = 0; s < samples; ++s) {
-        Rng sample_rng(derive_seed(epoch_seed, gi * samples + s));
-        masks[gi].push_back(policy_.sample(vals, sample_rng));
-      }
-    });
-  }
+  });
 
   // Dedup identical sampled masks per graph before fanning out: duplicates
   // (common once the policy sharpens) reuse the canonical episode instead of
@@ -251,31 +237,23 @@ EpochStats ReinforceTrainer::train_epoch() {
   stats.mean_best_reward /= n;
   stats.mean_loss /= n;
 
-  // 3. Greedy evaluation on the training graphs (cheap health signal). The
-  // end-of-epoch logits again come from one block-diagonal forward, which
-  // yields both the greedy reward and the compression ratio of every
-  // context. Once the policy stabilises the greedy mask repeats across
-  // epochs and this becomes a pure cache hit.
+  // 3. Greedy evaluation on the training graphs (cheap health signal). Each
+  // pool task runs one graph's post-update forward, which yields both the
+  // greedy reward and the compression ratio of that context, and carries its
+  // logits into the next epoch's sampling pass (parameters will not change in
+  // between). Once the policy stabilises the greedy mask repeats across
+  // epochs and the evaluation becomes a pure cache hit.
   std::vector<double> greedy_reward(num_graphs), greedy_compression(num_graphs);
-  {
-    nn::NoGradGuard no_grad;
-    const gnn::BatchedGraphFeatures& batch = batched_features();
-    // Carry these post-update logits into the next epoch's sampling pass
-    // (parameters will not change in between).
-    {
-      prof::ScopedTimer timer(prof::Phase::Encode);
-      logits_carry_ = policy_.logits(batch.merged).value();
-    }
-    logits_carry_valid_ = true;
-    carry_fingerprint_ = params_fingerprint();
-    const std::vector<double>& batched_vals = logits_carry_;
-    pool().parallel_for(num_graphs, [&](std::size_t i) {
-      const std::vector<double> vals = gnn::logit_slice(batched_vals, batch, i);
-      const Episode ep = evaluate_mask_cached(contexts_[i], policy_.greedy(vals), placer_);
-      greedy_reward[i] = ep.reward;
-      greedy_compression[i] = ep.compression;
-    });
-  }
+  logits_carry_valid_ = false;  // until every slot holds post-update logits
+  pool().parallel_for(num_graphs, [&](std::size_t i) {
+    encode_no_grad(i);
+    const Episode ep =
+        evaluate_mask_cached(contexts_[i], policy_.greedy(logits_carry_[i]), placer_);
+    greedy_reward[i] = ep.reward;
+    greedy_compression[i] = ep.compression;
+  });
+  logits_carry_valid_ = true;
+  carry_fingerprint_ = params_fingerprint();
   for (std::size_t i = 0; i < num_graphs; ++i) {
     stats.mean_greedy_reward += greedy_reward[i];
     stats.mean_compression += greedy_compression[i];

@@ -30,8 +30,9 @@ struct TrainerConfig {
   /// from saturating prematurely, stabilising long fine-tuning runs.
   double entropy_bonus = 0.0;
   partition::PartitionOptions partition_opts{};
-  /// Pool for mask evaluation fan-out; nullptr = ThreadPool::global(). Epoch
-  /// stats are identical for any pool size at a fixed seed.
+  /// Pool for the trainer's fan-out: the per-graph no-grad forwards, mask
+  /// sampling and mask evaluation; nullptr = ThreadPool::global(). Epoch
+  /// stats and parameters are identical for any pool size at a fixed seed.
   ThreadPool* pool = nullptr;
 };
 
@@ -89,10 +90,9 @@ public:
 private:
   void seed_metis_guidance();
   ThreadPool& pool() const;
-  /// Lazily packs all contexts into one block-diagonal batch (features are
-  /// per-graph constants, so this is built once and reused every epoch; the
-  /// borrowed contexts must not be reshaped while the trainer lives).
-  const gnn::BatchedGraphFeatures& batched_features();
+  /// Runs graph `gi`'s encoder forward under NoGrad into logits_carry_[gi].
+  /// Called from one pool task per graph; each task writes its own slot.
+  void encode_no_grad(std::size_t gi);
   /// Order-dependent hash over every policy parameter value; guards the
   /// cross-epoch logit carry below against out-of-band parameter edits.
   std::uint64_t params_fingerprint() const;
@@ -105,15 +105,14 @@ private:
   nn::Adam optimizer_;
   Rng rng_;
   std::uint64_t epochs_completed_ = 0;
-  gnn::BatchedGraphFeatures batched_;
-  bool batched_built_ = false;
-  /// Batched logits carried from the previous epoch's greedy pass. Parameters
-  /// do not change between the end of epoch e and the start of epoch e+1, so
-  /// the next sampling pass reuses these values instead of rerunning the
-  /// encoder — halving actor-side forwards in steady state, bit-identically.
-  /// Validity is re-checked against params_fingerprint() so external
-  /// parameter edits force a fresh forward.
-  std::vector<double> logits_carry_;
+  /// Per-graph logits carried from the previous epoch's greedy pass, which
+  /// computes them one graph per pool task. Parameters do not change between
+  /// the end of epoch e and the start of epoch e+1, so the next sampling pass
+  /// reuses these values instead of rerunning the encoder — halving
+  /// actor-side forwards in steady state, bit-identically. Validity is
+  /// re-checked against params_fingerprint() so external parameter edits
+  /// force fresh forwards.
+  std::vector<std::vector<double>> logits_carry_;
   bool logits_carry_valid_ = false;
   std::uint64_t carry_fingerprint_ = 0;
 };

@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "../testutil.hpp"
+
 namespace sc {
 namespace {
 
@@ -152,6 +154,102 @@ TEST(ThreadPool, ParallelForComputesCorrectSum) {
   pool.parallel_for(out.size(), [&](std::size_t i) { out[i] = static_cast<long>(i); });
   const long total = std::accumulate(out.begin(), out.end(), 0L);
   EXPECT_EQ(total, 10000L * 9999L / 2);
+}
+
+TEST(ThreadPool, ClaimForCoversEveryIndexExactlyOnce) {
+  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(workers);
+    for (const std::size_t n : {0u, 1u, 2u, 7u, 64u, 257u}) {
+      SCOPED_TRACE(::testing::Message() << "workers=" << workers << " n=" << n);
+      std::vector<std::atomic<int>> hits(n);
+      pool.claim_for(n, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+      // claim_for returns only after every index has run.
+      for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    }
+  }
+}
+
+TEST(ThreadPool, ClaimForRethrowsFirstExceptionOnceAndStartsNothingAfter) {
+  // With every worker held, the caller claims the indices alone and in
+  // order: index 5 throws, so exactly indices 0..5 start. The helpers queued
+  // behind the gate start after the call returned and must start nothing.
+  std::atomic<int> started{0};
+  {
+    ThreadPool pool(4);
+    test::WorkerGate gate(pool);
+    EXPECT_THROW(pool.claim_for(100,
+                                [&started](std::size_t i) {
+                                  started.fetch_add(1);
+                                  if (i == 5) throw std::runtime_error("panel");
+                                }),
+                 std::runtime_error);
+    EXPECT_EQ(started.load(), 6);
+  }  // the pool runs every queued helper before its workers join
+  EXPECT_EQ(started.load(), 6);
+
+  // With free workers every index throws: the caller sees one exception,
+  // nothing starts once the call has returned, and the next call carries no
+  // stale error.
+  std::atomic<int> thrown{0};
+  int caught = 0;
+  {
+    ThreadPool pool(4);
+    try {
+      pool.claim_for(256, [&thrown](std::size_t) {
+        thrown.fetch_add(1);
+        throw std::runtime_error("every panel");
+      });
+    } catch (const std::runtime_error&) {
+      ++caught;
+    }
+    EXPECT_EQ(caught, 1);
+    // Each thread's first throw marks the call failed before that thread
+    // claims again, so the caller and its four helpers start one index each
+    // at most.
+    EXPECT_LE(thrown.load(), 5) << "indices kept starting after the first exception";
+    const int at_return = thrown.load();
+    std::atomic<int> count{0};
+    EXPECT_NO_THROW(pool.claim_for(64, [&count](std::size_t) { count.fetch_add(1); }));
+    EXPECT_EQ(count.load(), 64);
+    EXPECT_EQ(thrown.load(), at_return);
+  }
+}
+
+TEST(ThreadPool, ClaimForReturnsBeforeALateHelperRuns) {
+  // Both workers are held, so the helpers this call queues cannot start: the
+  // caller must claim every index itself and return without waiting for them.
+  std::atomic<int> calls{0};
+  {
+    ThreadPool pool(2);
+    test::WorkerGate gate(pool);
+    const std::thread::id self = std::this_thread::get_id();
+    std::atomic<int> elsewhere{0};
+    pool.claim_for(8, [&](std::size_t) {
+      calls.fetch_add(1);
+      if (std::this_thread::get_id() != self) elsewhere.fetch_add(1);
+    });
+    EXPECT_EQ(calls.load(), 8);
+    EXPECT_EQ(elsewhere.load(), 0);
+    gate.release();  // the late helpers run now and find nothing to claim
+  }
+  EXPECT_EQ(calls.load(), 8);
+}
+
+TEST(ThreadPool, ClaimForFromAWorkerRunsInline) {
+  // A claim_for issued from a pool task runs every index on that task's
+  // thread, so it can never wait on work queued behind itself.
+  ThreadPool pool(2);
+  std::vector<std::thread::id> outer(4);
+  std::vector<std::vector<std::thread::id>> inner(4, std::vector<std::thread::id>(16));
+  pool.parallel_for(outer.size(), [&](std::size_t o) {
+    outer[o] = std::this_thread::get_id();
+    pool.claim_for(inner[o].size(), [&, o](std::size_t i) {
+      inner[o][i] = std::this_thread::get_id();
+    });
+  });
+  for (std::size_t o = 0; o < outer.size(); ++o) {
+    for (const std::thread::id id : inner[o]) EXPECT_EQ(id, outer[o]);
+  }
 }
 
 }  // namespace

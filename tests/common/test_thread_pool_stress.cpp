@@ -381,5 +381,58 @@ TEST(NnFanOutStress, ConcurrentLargeGraphForwardBackward) {
   }
 }
 
+TEST(NnFanOutStress, LateHelpersOutliveTheCall) {
+  // Two external threads issue thousands of row-panel fan-outs just above
+  // the 128-row threshold while a third keeps every global-pool worker busy
+  // with short tasks, so the claim_for helpers a fan-out queues often start
+  // after that call has returned and its closure is gone. Such a helper must
+  // find nothing to claim and exit without touching it; every call's values
+  // must equal an inline reference.
+  ThreadPool::configure_global(4);  // no-op once the pool exists
+  constexpr std::size_t kRows = 130;  // three 64-row panels
+  constexpr std::size_t kWidth = 24;
+  constexpr std::size_t kCallers = 2;
+  constexpr std::size_t kCalls = 2000;
+  Rng rng(61);
+  const nn::Tensor base = nn::Tensor::randn({kRows, kWidth}, rng, 0.8, false);
+  std::vector<std::size_t> index(kRows);
+  for (std::size_t i = 0; i < kRows; ++i) index[i] = (i * 7 + 3) % kRows;
+  std::vector<double> reference;
+  {
+    ThreadPool::InlineScope serial;
+    reference = nn::gather_add_tanh(base, index, nn::Tensor()).value();
+  }
+
+  std::atomic<bool> stop{false};
+  std::thread busy([&stop] {
+    ThreadPool::TaskGroup group(ThreadPool::global());
+    while (!stop.load()) {
+      for (int t = 0; t < 8; ++t) {
+        group.run([] {
+          std::atomic<int> spin{0};
+          while (spin.fetch_add(1, std::memory_order_relaxed) < 2000) {
+          }
+        });
+      }
+      group.wait();
+    }
+  });
+  std::vector<std::size_t> mismatched(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (std::size_t k = 0; k < kCalls; ++k) {
+        if (nn::gather_add_tanh(base, index, nn::Tensor()).value() != reference) {
+          ++mismatched[c];
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  stop.store(true);
+  busy.join();
+  for (std::size_t c = 0; c < kCallers; ++c) EXPECT_EQ(mismatched[c], 0u) << "caller " << c;
+}
+
 }  // namespace
 }  // namespace sc

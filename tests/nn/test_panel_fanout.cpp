@@ -7,11 +7,16 @@
 // it, so the fan-out path runs even on a one- or two-core machine.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <optional>
+#include <thread>
 #include <vector>
 
+#include "../testutil.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "nn/ops.hpp"
@@ -119,6 +124,52 @@ TEST_F(PanelFanout, GatherAddTanhBitIdentical) {
       expect_fanout_identical({{kBaseRows, m}}, [&index](const auto& in) {
         return gather_add_tanh(in[0], index, Tensor());
       });
+    }
+  }
+}
+
+TEST_F(PanelFanout, CallerFinishesWhileWorkersAreBusy) {
+  // Every worker of the global pool is held on a latch while the test thread
+  // runs Large-graph-shaped fused forwards and backwards that fan out. The
+  // caller works its own panels, so it must finish without a single helper
+  // and still match the InlineScope result bit for bit. A watchdog turns a
+  // caller that waits on the held workers into a failure instead of a hang.
+  constexpr std::size_t kNodes = 440;  // Setting::Large graphs: 400-500 nodes
+  constexpr std::size_t kEdges = 720;
+  constexpr std::size_t kHidden = 24;  // encoder hidden width
+  constexpr auto kTimeout = std::chrono::seconds(10);
+  std::vector<std::size_t> index(kEdges);
+  for (std::size_t i = 0; i < kEdges; ++i) index[i] = (i * 37 + 5) % kNodes;
+  const Shapes lt_shapes{{kNodes, kInner}, {kInner, kHidden}, {kHidden}};
+  const Build lt = [](const auto& in) { return linear_tanh(in[0], in[1], in[2]); };
+  const Shapes ga_shapes{{kNodes, kHidden}, {kEdges, kHidden}};
+  const Build ga = [&index](const auto& in) { return gather_add_tanh(in[0], index, in[1]); };
+  const RunResult lt_serial = run(true, 41, lt_shapes, lt);
+  const RunResult ga_serial = run(true, 43, ga_shapes, ga);
+
+  test::WorkerGate gate(ThreadPool::global());
+  std::promise<void> finished;
+  std::atomic<bool> timed_out{false};
+  const auto deadline = std::chrono::steady_clock::now() + kTimeout;
+  std::thread watchdog([&timed_out, &gate, deadline, done = finished.get_future()] {
+    if (done.wait_until(deadline) != std::future_status::ready) {
+      timed_out.store(true);
+      gate.open();
+    }
+  });
+  const RunResult lt_fanned = run(false, 41, lt_shapes, lt);
+  const RunResult ga_fanned = run(false, 43, ga_shapes, ga);
+  finished.set_value();
+  watchdog.join();
+  gate.release();
+
+  EXPECT_FALSE(timed_out.load()) << "the caller waited on held pool workers";
+  for (const auto& [fanned, serial] :
+       {std::pair{&lt_fanned, &lt_serial}, std::pair{&ga_fanned, &ga_serial}}) {
+    EXPECT_EQ(mismatches(fanned->out, serial->out), 0u) << "forward values";
+    ASSERT_EQ(fanned->grads.size(), serial->grads.size());
+    for (std::size_t t = 0; t < fanned->grads.size(); ++t) {
+      EXPECT_EQ(mismatches(fanned->grads[t], serial->grads[t]), 0u) << "gradient of input " << t;
     }
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "gen/dataset.hpp"
 #include "gen/generator.hpp"
 
@@ -108,13 +110,19 @@ TEST(Reinforce, TrainingChangesParameters) {
 }
 
 TEST(Reinforce, EpochStatsIdenticalAcrossThreadCounts) {
-  // The restructured train_epoch derives every sampling RNG from the epoch
-  // seed and applies updates sequentially, so a 1-thread and a 4-thread pool
-  // must produce identical statistics for the same seed. cfg.pool governs
-  // only the trainer's own fan-out; the nn ops fan row panels out over
-  // ThreadPool::global() in both runs (LargeGraphTrainingBitIdenticalInline
-  // covers that fan-out).
+  // train_epoch derives every sampling RNG from the epoch seed and applies
+  // updates sequentially, so 1-, 2- and 4-worker pools and the global pool
+  // must produce identical statistics and parameters for the same seed.
+  // cfg.pool runs the trainer's own fan-out: the per-graph no-grad forwards
+  // of the sampling and greedy passes, sampling and mask evaluation. The nn
+  // ops of forwards issued from the calling thread (the updates, and every
+  // forward on a 1-worker pool) fan row panels out over ThreadPool::global()
+  // (LargeGraphTrainingBitIdenticalInline covers that fan-out).
   const auto graphs = small_graphs(4, 29);
+  struct Run {
+    std::vector<EpochStats> stats;
+    std::vector<std::vector<double>> params;
+  };
   auto run = [&](ThreadPool* pool) {
     auto contexts = make_contexts(graphs, spec());
     gnn::CoarseningPolicy policy{gnn::PolicyConfig{}};
@@ -122,29 +130,36 @@ TEST(Reinforce, EpochStatsIdenticalAcrossThreadCounts) {
     cfg.seed = 77;
     cfg.pool = pool;
     ReinforceTrainer trainer(policy, contexts, metis_placer(), cfg);
-    std::vector<EpochStats> out;
-    for (int e = 0; e < 3; ++e) out.push_back(trainer.train_epoch());
-    return out;
+    Run r;
+    for (int e = 0; e < 3; ++e) r.stats.push_back(trainer.train_epoch());
+    for (const nn::Tensor& p : policy.parameters()) r.params.push_back(p.value());
+    return r;
   };
 
-  ThreadPool serial(1), wide(4);
-  const auto a = run(&serial);
-  const auto b = run(&wide);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t e = 0; e < a.size(); ++e) {
-    EXPECT_EQ(a[e].mean_sample_reward, b[e].mean_sample_reward);
-    EXPECT_EQ(a[e].mean_best_reward, b[e].mean_best_reward);
-    EXPECT_EQ(a[e].mean_greedy_reward, b[e].mean_greedy_reward);
-    EXPECT_EQ(a[e].mean_compression, b[e].mean_compression);
-    EXPECT_EQ(a[e].mean_loss, b[e].mean_loss);
-    // Each evaluation does exactly one cache lookup, so hits + misses is
-    // thread-count invariant even though the split can differ (concurrent
-    // first-touches of one mask both count as misses).
-    EXPECT_EQ(a[e].cache_hits + a[e].cache_misses,
-              b[e].cache_hits + b[e].cache_misses);
-    // Mask dedup runs sequentially on the main thread, so its count is
-    // exactly thread-count invariant.
-    EXPECT_EQ(a[e].dedup_hits, b[e].dedup_hits);
+  ThreadPool serial(1), two(2), four(4);
+  const Run a = run(&serial);
+  for (ThreadPool* pool : {&two, &four, static_cast<ThreadPool*>(nullptr)}) {
+    SCOPED_TRACE(pool != nullptr ? "pool of " + std::to_string(pool->size())
+                                 : std::string("global pool"));
+    const Run b = run(pool);
+    ASSERT_EQ(a.stats.size(), b.stats.size());
+    for (std::size_t e = 0; e < a.stats.size(); ++e) {
+      EXPECT_EQ(a.stats[e].mean_sample_reward, b.stats[e].mean_sample_reward);
+      EXPECT_EQ(a.stats[e].mean_best_reward, b.stats[e].mean_best_reward);
+      EXPECT_EQ(a.stats[e].mean_greedy_reward, b.stats[e].mean_greedy_reward);
+      EXPECT_EQ(a.stats[e].mean_compression, b.stats[e].mean_compression);
+      EXPECT_EQ(a.stats[e].mean_loss, b.stats[e].mean_loss);
+      // Each evaluation does exactly one cache lookup, so hits + misses is
+      // thread-count invariant even though the split can differ (concurrent
+      // first-touches of one mask both count as misses).
+      EXPECT_EQ(a.stats[e].cache_hits + a.stats[e].cache_misses,
+                b.stats[e].cache_hits + b.stats[e].cache_misses);
+      // Mask dedup runs sequentially on the main thread, so its count is
+      // exactly thread-count invariant.
+      EXPECT_EQ(a.stats[e].dedup_hits, b.stats[e].dedup_hits);
+    }
+    // Bit-for-bit parameters: vector equality compares every double.
+    EXPECT_TRUE(a.params == b.params) << "trained parameters differ";
   }
 }
 

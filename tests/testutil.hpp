@@ -1,8 +1,13 @@
-// Shared helpers for the test suite: small canonical stream graphs.
+// Shared helpers for the test suite: small canonical stream graphs, and a
+// gate that holds every worker of a thread pool.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
+#include <latch>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "graph/stream_graph.hpp"
 
 namespace sc::test {
@@ -48,5 +53,42 @@ inline graph::StreamGraph make_two_components() {
   b.add_edge(2, 3, 1.0);
   return b.build();
 }
+
+/// Holds every worker of `pool` in one task each until the gate opens, so
+/// nothing queued behind those tasks can start meanwhile.
+class WorkerGate {
+public:
+  explicit WorkerGate(ThreadPool& pool)
+      : arrived_(static_cast<std::ptrdiff_t>(pool.size())), group_(pool) {
+    for (std::size_t w = 0; w < pool.size(); ++w) {
+      group_.run([this] {
+        arrived_.count_down();
+        open_.wait();
+      });
+    }
+    arrived_.wait();
+  }
+  ~WorkerGate() { open(); }  // group_'s destructor then waits for the tasks
+
+  WorkerGate(const WorkerGate&) = delete;
+  WorkerGate& operator=(const WorkerGate&) = delete;
+
+  /// Lets the held workers go. Safe from any thread, and more than once.
+  void open() {
+    if (!opened_.exchange(true)) open_.count_down();
+  }
+
+  /// Opens the gate and waits until every held worker has left it.
+  void release() {
+    open();
+    group_.wait();
+  }
+
+private:
+  std::latch arrived_;
+  std::latch open_{1};
+  std::atomic<bool> opened_{false};
+  ThreadPool::TaskGroup group_;
+};
 
 }  // namespace sc::test
