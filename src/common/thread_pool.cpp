@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <memory>
 #include <utility>
 
@@ -14,7 +15,7 @@ std::atomic<std::size_t> g_global_threads{0};
 std::atomic<bool> g_global_built{false};
 thread_local bool t_in_worker = false;
 
-/// Polls of claim_for's wait before it sleeps in std::atomic::wait: long
+/// Polls of parallel_for's wait before it sleeps in std::atomic::wait: long
 /// enough to cover a helper finishing a short panel, short enough that a
 /// waiter whose helper was preempted soon yields its core.
 constexpr int kClaimSpins = 1024;
@@ -27,30 +28,31 @@ void cpu_relax() {
 #endif
 }
 
-/// State of one claim_for call, shared by the caller and its helper tasks.
+/// State of one parallel_for call, shared by the caller and its helper tasks.
 /// `fn` stays valid while `pending` > 0: the caller returns only after every
 /// index has finished, and a helper touches fn only for an index it claimed.
 struct ClaimState {
   ClaimState(std::size_t count, const std::function<void(std::size_t)>* body)
       : n(count), fn(body), pending(count) {}
 
-  /// Claims and runs indices until none is left. Once an index has thrown,
-  /// later claims are counted off without running.
+  /// Claims and runs indices until none is left.
   void work() {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= n) return;
-      if (!failed.load()) {
-        try {
-          (*fn)(i);
-        } catch (...) {
-          if (!failed.exchange(true)) error = std::current_exception();
-        }
+    for (std::size_t i; (i = next.fetch_add(1)) < n;) run(i);
+  }
+
+  /// Runs claimed index `i`; once an index has thrown, later ones are
+  /// counted off without running.
+  void run(std::size_t i) {
+    if (!failed.load()) {
+      try {
+        (*fn)(i);
+      } catch (...) {
+        if (!failed.exchange(true)) error = std::current_exception();
       }
-      // Publishes this index's writes (and `error`) to the caller, which
-      // reads them once it has seen `pending` reach 0.
-      if (pending.fetch_sub(1) == 1) pending.notify_all();
     }
+    // Publishes this index's writes (and `error`) to the caller, which
+    // reads them once it has seen `pending` reach 0.
+    if (pending.fetch_sub(1) == 1) pending.notify_all();
   }
 
   const std::size_t n;
@@ -58,7 +60,8 @@ struct ClaimState {
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> pending;  ///< indices not yet finished or skipped
   std::atomic<bool> failed{false};
-  /// Written once, by the thread whose exchange set `failed`.
+  /// Written once, by the thread whose exchange set `failed`; taken by the
+  /// caller once `pending` is 0.
   std::exception_ptr error;
 };
 }  // namespace
@@ -82,15 +85,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-ThreadPool::TaskGroup::TaskGroup(ThreadPool& pool)
-    : pool_(pool), state_(std::make_shared<State>()) {}
-
-ThreadPool::TaskGroup::~TaskGroup() { (void)state_->wait(); }  // unobserved errors drop
-
-void ThreadPool::TaskGroup::wait() {
-  if (std::exception_ptr err = state_->wait()) std::rethrow_exception(err);
-}
-
 ThreadPool::InlineScope::InlineScope() : prev_(t_in_worker) { t_in_worker = true; }
 
 ThreadPool::InlineScope::~InlineScope() { t_in_worker = prev_; }
@@ -104,46 +98,26 @@ void ThreadPool::enqueue(std::function<void()> task) {
 }
 
 void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t workers = workers_.size();
-  if (n <= 1 || workers <= 1 || in_worker()) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  // Chunked static schedule: enough chunks for balance, few enough to
-  // keep queue overhead negligible.
-  const std::size_t chunks = std::min(n, workers * 4);
-  const std::size_t base = n / chunks;
-  const std::size_t extra = n % chunks;
-  TaskGroup group(*this);
-  std::size_t start = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t len = base + (c < extra ? 1 : 0);
-    const std::size_t begin = start;
-    const std::size_t end = start + len;
-    start = end;
-    group.run([&fn, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    });
-  }
-  group.wait();
-}
-
-void ThreadPool::claim_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
   const std::size_t workers = workers_.size();
   if (n <= 1 || workers <= 1 || in_worker()) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
   const auto state = std::make_shared<ClaimState>(n, &fn);
+  state->next.store(1);  // index 0 is the caller's, before any helper can claim
   const std::size_t helpers = std::min(n - 1, workers);
   for (std::size_t h = 0; h < helpers; ++h) enqueue([state] { state->work(); });
-  state->work();
+  {
+    const InlineScope as_worker;
+    state->run(0);
+    state->work();
+  }
   // Every index is claimed now; wait for the ones helpers are still running.
   for (int spin = 0; spin < kClaimSpins && state->pending.load() != 0; ++spin) cpu_relax();
   for (std::size_t left; (left = state->pending.load()) != 0;) state->pending.wait(left);
-  if (state->error) std::rethrow_exception(state->error);
+  // Take the error out of the shared state: a late helper may release the
+  // state last, and must not also release the exception the caller handles.
+  if (state->error) std::rethrow_exception(std::exchange(state->error, nullptr));
 }
 
 ThreadPool& ThreadPool::global() {
@@ -172,7 +146,7 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    task();  // TaskGroup::run's wrapper captures every exception
+    task();  // ClaimState::work captures every exception of the loop body
   }
 }
 

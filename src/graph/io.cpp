@@ -15,8 +15,8 @@ namespace sc::graph {
 namespace {
 
 // Reads the next non-empty, non-comment line; returns false at EOF. Named
-// apart from BoundedLineScanner::next_line so sc_analyze's name-resolved
-// call graph never wires the streaming reader to this istream helper.
+// distinctively so sc_analyze's name-resolved call graph never wires a
+// streaming-path function to this istream helper.
 bool next_text_line(std::istream& is, std::string& line) {
   while (std::getline(is, line)) {
     const auto pos = line.find_first_not_of(" \t\r");

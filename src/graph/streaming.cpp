@@ -26,95 +26,8 @@ namespace {
 std::atomic<std::size_t> g_ingest_chunk_bytes{0};  // 0 = default (kIoBufferBytes)
 std::atomic<ThreadPool*> g_ingest_pool{nullptr};
 
-/// Size of the single bounded I/O buffer: the only transient allocation the
-/// reader makes regardless of graph size.
+/// Default ingest chunk size, and the longest line the reader accepts.
 constexpr std::size_t kIoBufferBytes = std::size_t{1} << 18;  // 256 KiB
-
-/// Buffered line scanner over a stdio stream. Lines longer than the buffer
-/// fail loudly (serialized records are tens of bytes); '\r' is stripped so
-/// CRLF input parses identically to LF input.
-class BoundedLineScanner {
-public:
-  explicit BoundedLineScanner(const std::string& path) : path_(path) {
-    file_ = std::fopen(path.c_str(), "rb");
-    SC_CHECK(file_ != nullptr, "cannot open '" << path << "' for reading");
-    SC_CHECK(std::fseek(file_, 0, SEEK_END) == 0, "cannot seek in '" << path << "'");
-    const long size = std::ftell(file_);
-    SC_CHECK(size >= 0, "cannot determine size of '" << path << "'");
-    file_size_ = static_cast<std::uint64_t>(size);
-    rewind();
-    buf_ = std::make_unique<char[]>(kIoBufferBytes + 1);
-  }
-
-  ~BoundedLineScanner() {
-    if (file_ != nullptr) std::fclose(file_);
-  }
-
-  BoundedLineScanner(const BoundedLineScanner&) = delete;
-  BoundedLineScanner& operator=(const BoundedLineScanner&) = delete;
-
-  void rewind() {
-    SC_CHECK(std::fseek(file_, 0, SEEK_SET) == 0, "cannot rewind '" << path_ << "'");
-    len_ = 0;
-    pos_ = 0;
-    eof_ = false;
-  }
-
-  /// Next non-empty, non-comment line as a NUL-terminated in-buffer string
-  /// (valid until the following call). Returns nullptr at EOF.
-  char* next_line() {
-    for (;;) {
-      char* nl = static_cast<char*>(std::memchr(buf_.get() + pos_, '\n', len_ - pos_));
-      if (nl == nullptr && !eof_) {
-        refill();
-        continue;
-      }
-      char* line = buf_.get() + pos_;
-      char* end = nl != nullptr ? nl : buf_.get() + len_;
-      if (line == end && nl == nullptr) return nullptr;  // exhausted
-      pos_ = static_cast<std::size_t>(end - buf_.get()) + (nl != nullptr ? 1 : 0);
-      while (end > line && (end[-1] == '\r' || end[-1] == ' ' || end[-1] == '\t')) --end;
-      *end = '\0';
-      const char* p = line;
-      while (*p == ' ' || *p == '\t') ++p;
-      if (*p == '\0' || *p == '#') continue;  // blank / comment
-      return line + (p - line);
-    }
-  }
-
-  std::uint64_t file_size() const { return file_size_; }
-  std::size_t bytes_read() const { return bytes_read_; }
-  std::size_t buffer_bytes() const { return kIoBufferBytes; }
-
-private:
-  // In the serial reader there is no pipeline: the calling thread plays the
-  // reader role, and this refill is its sanctioned blocking read.
-  // sc-lint: reader-thread
-  void refill() {
-    // Keep the partial line, slide it to the front, top the buffer up.
-    const std::size_t keep = len_ - pos_;
-    SC_CHECK(keep < kIoBufferBytes,
-             "line exceeds the " << kIoBufferBytes << "-byte ingest buffer in '" << path_
-                                 << "'");
-    std::memmove(buf_.get(), buf_.get() + pos_, keep);
-    pos_ = 0;
-    len_ = keep;
-    const std::size_t got = std::fread(buf_.get() + len_, 1, kIoBufferBytes - len_, file_);
-    SC_CHECK(got > 0 || std::feof(file_) != 0, "read error in '" << path_ << "'");
-    bytes_read_ += got;
-    len_ += got;
-    if (got == 0) eof_ = true;
-  }
-
-  std::string path_;
-  std::FILE* file_ = nullptr;
-  std::unique_ptr<char[]> buf_;
-  std::uint64_t file_size_ = 0;
-  std::size_t len_ = 0;
-  std::size_t pos_ = 0;
-  std::size_t bytes_read_ = 0;
-  bool eof_ = false;
-};
 
 const char* skip_ws(const char* p) {
   while (*p == ' ' || *p == '\t') ++p;
@@ -216,161 +129,32 @@ std::size_t CsrGraph::footprint_bytes() const {
 
 namespace {
 
-/// Flushes `batch` to `sink` (if any) as the next numbered edge batch.
-void flush_edge_batch(IngestSink* sink, std::uint64_t& batch_seq,
-                      std::vector<CsrEdgeRec>& batch) {
-  if (sink != nullptr && !batch.empty()) {
-    sink->on_edge_batch(batch_seq++, std::span<const CsrEdgeRec>(batch));
-  }
-  batch.clear();
-}
-
-/// Serial two-pass reader: the path read_csr takes from inside a pool worker
-/// or a ThreadPool::InlineScope, where it must not fan out.
-// sc-lint: streaming-path
-CsrGraph read_csr_serial(const std::string& path, StreamingReadStats* stats,
-                         IngestSink* sink) {
-  BoundedLineScanner scanner(path);
-
-  // ---- Pass 1: validate headers/records, fill node features + degrees ----
-  char* line = scanner.next_line();
-  SC_CHECK(line != nullptr, "unexpected EOF: expected 'streamgraph' in '" << path << "'");
-  std::string name;
-  {
-    const char* p = line;
-    SC_CHECK(std::strncmp(p, "streamgraph", 11) == 0,
-             "expected 'streamgraph', got '" << line << "'");
-    p = skip_ws(p + 11);
-    const char* start = p;
-    while (*p != '\0' && *p != ' ' && *p != '\t') ++p;
-    name.assign(start, p);
-    check_line_consumed(p, "graph name", line);
-  }
-
-  line = scanner.next_line();
-  SC_CHECK(line != nullptr, "unexpected EOF: expected 'nodes' in '" << path << "'");
-  // Minimum on-disk record sizes: a node line is at least "0 0\n" (4 bytes),
-  // an edge line at least "0 1 0 0\n" (8); 2 and 4 keep the bound safe for
-  // exotic-but-legal whitespace.
-  const std::size_t n = parse_count_line(line, "nodes", scanner.file_size(), 2);
-  SC_CHECK(n > 0, "stream graph must have at least one node");
-
-  std::vector<float> ipt(n);
-  std::vector<float> selectivity(n);
-  std::vector<std::uint64_t> offsets(n + 1, 0);
-
-  for (std::size_t v = 0; v < n; ++v) {
-    line = scanner.next_line();
-    SC_CHECK(line != nullptr,
-             "unexpected EOF in node list: got " << v << " of " << n << " nodes");
-    const char* p = line;
-    const double node_ipt = parse_double_field(p, "node ipt", line);
-    const double sel = parse_double_field(p, "node selectivity", line);
-    check_line_consumed(p, "node record", line);
-    SC_CHECK(node_ipt >= 0.0 && sel >= 0.0, "negative node feature in line '" << line << "'");
-    ipt[v] = static_cast<float>(node_ipt);
-    selectivity[v] = static_cast<float>(sel);
-  }
-
-  line = scanner.next_line();
-  SC_CHECK(line != nullptr, "unexpected EOF: expected 'edges' in '" << path << "'");
-  const std::size_t m = parse_count_line(line, "edges", scanner.file_size(), 4);
-
-  std::uint64_t batch_seq = 0;
-  std::vector<CsrEdgeRec> batch;
-  if (sink != nullptr) batch.reserve(std::min<std::size_t>(m, 4096));
-  for (std::size_t e = 0; e < m; ++e) {
-    line = scanner.next_line();
-    SC_CHECK(line != nullptr,
-             "unexpected EOF in edge list: got " << e << " of " << m << " edges");
-    const char* p = line;
-    const std::uint64_t src = parse_u64_field(p, "edge source", line);
-    const std::uint64_t dst_id = parse_u64_field(p, "edge target", line);
-    const double payload = parse_double_field(p, "edge payload", line);
-    const double rf = parse_double_field(p, "edge rate_factor", line);
-    check_line_consumed(p, "edge record", line);
-    SC_CHECK(src < n && dst_id < n,
-             "edge endpoint out of range in line '" << line << "' (graph has " << n
-                                                    << " nodes)");
-    SC_CHECK(src != dst_id, "self-loop edge in line '" << line << "'");
-    SC_CHECK(payload >= 0.0 && rf >= 0.0, "negative edge feature in line '" << line << "'");
-    ++offsets[src + 1];
-    if (sink != nullptr) {
-      // src < n and dst_id < n are SC_CHECKed above, so the narrowing is
-      // exact here.
-      batch.push_back({static_cast<NodeId>(src), static_cast<NodeId>(dst_id),  // sc-lint: allow(unchecked-id-narrowing)
-                       static_cast<float>(payload), static_cast<float>(rf)});
-      if (batch.size() >= 4096) flush_edge_batch(sink, batch_seq, batch);
-    }
-  }
-  flush_edge_batch(sink, batch_seq, batch);
-
-  line = scanner.next_line();
-  SC_CHECK(line != nullptr && std::strcmp(line, "end") == 0,
-           "expected 'end' terminating graph in '" << path << "'");
-
-  for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
-
-  // ---- Pass 2: fill the CSR slots (records already validated) -------------
-  std::vector<NodeId> dst(m);
-  std::vector<float> payload(m);
-  std::vector<float> rate_factor(m);
-  scanner.rewind();
-  line = scanner.next_line();  // streamgraph header
-  line = scanner.next_line();  // nodes header
-  for (std::size_t v = 0; v < n; ++v) line = scanner.next_line();
-  line = scanner.next_line();  // edges header
-  for (std::size_t e = 0; e < m; ++e) {
-    line = scanner.next_line();
-    const char* p = line;
-    const std::uint64_t src = parse_u64_field(p, "edge source", line);
-    const std::uint64_t dst_id = parse_u64_field(p, "edge target", line);
-    const double pay = parse_double_field(p, "edge payload", line);
-    const double rf = parse_double_field(p, "edge rate_factor", line);
-    const std::uint64_t slot = offsets[src]++;
-    dst[slot] = checked_node_id(dst_id);
-    payload[slot] = static_cast<float>(pay);
-    rate_factor[slot] = static_cast<float>(rf);
-  }
-  // offsets[v] now points one past v's range; shift back down.
-  for (std::size_t v = n; v > 0; --v) offsets[v] = offsets[v - 1];
-  offsets[0] = 0;
-
-  if (stats != nullptr) {
-    stats->bytes_read = scanner.bytes_read();
-    stats->passes = 2;
-    stats->buffer_bytes = scanner.buffer_bytes();
-  }
-  return CsrGraph(std::move(name), std::move(ipt), std::move(selectivity),
-                  std::move(offsets), std::move(dst), std::move(payload),
-                  std::move(rate_factor));
-}
-
 // ---------------------------------------------------------------------------
 // Pipelined chunk-parallel reader (DESIGN.md §9).
 //
-//   reader thread --q_parse--> parse workers --ready ring--> commit thread
+//   reader thread --parse queue--> parse loops --ready ring--> committer
 //        ^                                                        |
 //        +------------------------- q_free <---------------------+
 //
 // The reader thread owns all file I/O: it fills fixed-size blocks, stitches
 // the partial line at each block boundary onto the next block, splits whole
-// lines (identical semantics to BoundedLineScanner::next_line) and parses the
-// two leading headers. Pool workers parse node/edge records chunk-parallel.
-// The calling thread commits chunk results strictly in sequence order, so
-// every byte of output — and the choice of which malformed line aborts the
-// read — is a pure function of the file, never of thread scheduling.
+// lines (skipping blanks and comments) and parses the two leading headers.
+// Parse loops on pool workers parse node/edge records chunk-parallel, and
+// the committer (the calling thread) parses its next chunk itself whenever
+// no parse loop has taken it, so a read needs no parse loop to finish. The committer commits chunk results strictly in sequence order,
+// so every byte of output — and the choice of which malformed line aborts
+// the read — is a pure function of the file, never of thread scheduling.
 // ---------------------------------------------------------------------------
 
-/// One in-flight chunk: a stitched block of whole lines plus the worker's
-/// parse results. `window` chunks recycle through q_free, so steady-state
-/// ingest stops allocating once every buffer has warmed up.
+/// One in-flight chunk: a stitched block of whole lines plus the parser's
+/// results. `window` chunks recycle through q_free, so steady-state ingest
+/// stops allocating once every buffer has warmed up.
 struct IngestChunk {
   std::size_t seq = 0;
   std::size_t first_idx = 0;       ///< global content-line index of lines[0]
   std::vector<char> data;          ///< stitched text, lines NUL-terminated
   std::vector<const char*> lines;  ///< content-line starts (past leading ws)
-  // Parse-worker outputs, in file order.
+  // Parse outputs, in file order.
   std::vector<float> node_ipt, node_sel;
   std::vector<CsrEdgeRec> edges;
   std::exception_ptr error;   ///< first malformed line of the chunk, if any
@@ -389,16 +173,17 @@ struct IngestChunk {
 
 class IngestPipeline {
 public:
+  /// Starts the reader thread. `parsers` is the number of parse loops that
+  /// may run; the window keeps three chunks beyond one per parser in flight.
   IngestPipeline(std::string path, std::FILE* file, std::uint64_t file_size,
-                 std::size_t chunk_bytes, ThreadPool& pool)
+                 std::size_t chunk_bytes, std::size_t parsers)
       : path_(std::move(path)),
         file_(file),
         file_size_(file_size),
         chunk_bytes_(chunk_bytes),
-        parsers_(pool),
-        window_(pool.size() + 3),
+        window_(parsers + 3),
         q_free_(window_),
-        q_parse_(window_),
+        queued_(window_, nullptr),
         ready_(window_, nullptr) {
     chunks_.reserve(window_);
     for (std::size_t i = 0; i < window_; ++i) {
@@ -407,45 +192,76 @@ public:
       q_free_.try_push(std::move(c));
     }
     reader_ = std::thread([this] { read_thread(); });
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      parsers_.run([this] { parse_loop(); });
-    }
   }
 
   ~IngestPipeline() {
     try {
       finish();
-    } catch (...) {  // parse workers never throw; defend the unwinding path
+    } catch (...) {  // join failing leaves nothing to recover; defend the unwinding path
     }
   }
 
   IngestPipeline(const IngestPipeline&) = delete;
   IngestPipeline& operator=(const IngestPipeline&) = delete;
 
-  /// Blocks until chunk `seq` is parsed (or no chunk with that sequence
-  /// number will ever exist). Returns nullptr when the stream is exhausted.
-  IngestChunk* wait_next(std::size_t seq) SC_EXCLUDES(m_) {
+  /// The committer's next chunk: chunk `seq`, parsed, or nullptr once no
+  /// chunk with that sequence number will ever exist. Parses chunk `seq` on
+  /// this thread when it is queued and no parse loop has taken it; later
+  /// chunks are left to the parse loops, since every commit waits for the
+  /// committer.
+  IngestChunk* next_parsed(std::size_t seq) SC_EXCLUDES(m_) {
     const std::size_t slot = seq % window_;
-    MutexLock lock(m_);
-    cv_.wait(m_, [&]() SC_REQUIRES(m_) {
-      return ready_[slot] != nullptr || (reader_done_ && pushed_ <= seq);
-    });
-    IngestChunk* c = ready_[slot];
-    ready_[slot] = nullptr;
-    return c;
+    for (;;) {
+      IngestChunk* c = nullptr;
+      {
+        MutexLock lock(m_);
+        cv_commit_.wait(m_, [&]() SC_REQUIRES(m_) {
+          return ready_[slot] != nullptr || (parse_next_ == seq && seq < pushed_) ||
+                 (reader_done_ && pushed_ <= seq);
+        });
+        if (ready_[slot] != nullptr) return std::exchange(ready_[slot], nullptr);
+        if (pushed_ <= seq) return nullptr;  // the reader stopped before `seq`
+        c = take_queued();
+      }
+      parse_chunk(c);
+      return c;
+    }
+  }
+
+  /// Parse-loop body: parses queued chunks until the reader is done and the
+  /// queue is empty, or the committer has stopped the pipeline. Never
+  /// throws: malformed lines are captured per chunk and rethrown by the
+  /// committer in file order.
+  void parse_loop() SC_EXCLUDES(m_) {
+    for (;;) {
+      IngestChunk* c = nullptr;
+      {
+        MutexLock lock(m_);
+        cv_parse_.wait(m_, [&]() SC_REQUIRES(m_) {
+          return stopped_ || reader_done_ || parse_next_ < pushed_;
+        });
+        if (stopped_ || parse_next_ == pushed_) return;
+        c = take_queued();
+      }
+      parse_chunk(c);
+      publish(c);
+    }
   }
 
   /// Returns a committed chunk's buffers to the reader.
   void recycle(IngestChunk* c) { q_free_.try_push(std::move(c)); }
 
-  /// Stops the pipeline and joins every helper: idempotent, called on both
-  /// the success and the exception path before any pipeline state is read.
-  void finish() {
-    abort_.store(true, std::memory_order_relaxed);
+  /// Stops the pipeline: parse loops return, the reader is joined.
+  /// Idempotent; called on both the success and the exception path before
+  /// any reader state is read.
+  void finish() SC_EXCLUDES(m_) {
+    {
+      MutexLock lock(m_);
+      stopped_ = true;
+    }
+    cv_parse_.notify_all();
     q_free_.close();
-    q_parse_.close();
     if (reader_.joinable()) reader_.join();
-    parsers_.wait();
   }
 
   void rethrow_reader_error() SC_EXCLUDES(m_) {
@@ -461,13 +277,16 @@ public:
 
   // Pipeline stats; read after finish() (join provides the ordering).
   std::size_t bytes_read() const { return bytes_read_; }
-  std::size_t chunk_count() const { return chunk_count_; }
+  std::size_t chunk_count() SC_EXCLUDES(m_) {
+    MutexLock lock(m_);
+    return pushed_;
+  }
   std::size_t stitches() const { return stitches_; }
   std::size_t queue_peak() const { return queue_peak_; }
 
 private:
-  /// Reader-thread body: always marks reader_done_ and closes the parse
-  /// queue on the way out so workers drain and the committer never hangs.
+  /// Reader-thread body: always marks reader_done_ on the way out so parse
+  /// loops drain and the committer never hangs.
   void read_thread() {
     try {
       read_all();
@@ -479,13 +298,13 @@ private:
       MutexLock lock(m_);
       reader_done_ = true;
     }
-    cv_.notify_all();
-    q_parse_.close();
+    cv_parse_.notify_all();
+    cv_commit_.notify_one();
   }
 
   // The pipeline's only blocking-read site: everything downstream is fed
-  // through bounded queues (enforced by sc_analyze's streaming-blocking-read
-  // rule; the serial reader's sanctioned read is BoundedLineScanner::refill).
+  // through the parse queue and the ready ring (enforced by sc_analyze's
+  // streaming-blocking-read rule).
   // sc-lint: reader-thread
   void read_all() {
     std::vector<IngestChunk*> got;
@@ -496,7 +315,7 @@ private:
       got.clear();
       if (q_free_.pop_batch(got, 1, std::chrono::microseconds(0)) == 0) return;
       IngestChunk* c = got[0];
-      if (abort_.load(std::memory_order_relaxed)) return;
+      if (stopping()) return;
       c->reset();
       if (!carry.empty()) {
         // Chunk-boundary stitch: the previous block's partial tail line
@@ -505,8 +324,8 @@ private:
         c->data.insert(c->data.end(), carry.begin(), carry.end());
         carry.clear();
       }
-      // Top the chunk up until it holds at least one complete line (or EOF),
-      // with the serial reader's exact line-length bound.
+      // Top the chunk up until it holds at least one complete line (or EOF);
+      // a line may not outgrow the default chunk size.
       std::size_t split_end = 0;
       for (;;) {
         const std::size_t off = c->data.size();
@@ -522,9 +341,11 @@ private:
           split_end = c->data.size();  // include a final unterminated line
           break;
         }
+        // Only the bytes just read can hold a newline: the stitched head is
+        // a partial line, and so was everything an earlier top-up read.
         std::size_t last_nl = c->data.size();
-        while (last_nl > 0 && c->data[last_nl - 1] != '\n') --last_nl;
-        if (last_nl > 0) {
+        while (last_nl > off && c->data[last_nl - 1] != '\n') --last_nl;
+        if (last_nl > off) {
           split_end = last_nl;
           break;
         }
@@ -542,9 +363,8 @@ private:
       } catch (...) {
         // Over-long line or malformed header: attach it to the chunk at the
         // position the failing line occupies (every line carved so far has a
-        // smaller index, so an earlier malformed record still wins exactly as
-        // in the serial scan) and record it as the reader outcome for the
-        // committer's EOF drain.
+        // smaller index, so an earlier malformed record still wins) and
+        // record it as the reader outcome for the committer's EOF drain.
         c->error = std::current_exception();
         c->error_idx = content_idx_;
         {
@@ -554,15 +374,7 @@ private:
         carve_failed = true;
       }
       if (!c->lines.empty()) {
-        c->seq = next_seq_++;
-        std::size_t depth = 0;
-        if (!q_parse_.try_push(std::move(c), &depth)) return;  // closed: aborting
-        {
-          MutexLock lock(m_);
-          ++pushed_;
-        }
-        ++chunk_count_;
-        queue_peak_ = std::max(queue_peak_, depth);
+        if (!push(c)) return;  // stopped
       } else if (!carve_failed) {
         if (!q_free_.try_push(std::move(c))) return;
       }
@@ -573,10 +385,9 @@ private:
     SC_CHECK(content_idx_ > 1, "unexpected EOF: expected 'nodes' in '" << path_ << "'");
   }
 
-  /// Splits data[0, split_end) into lines with next_line()'s exact semantics
-  /// (strip trailing CR/whitespace, NUL-terminate, skip blanks/comments,
-  /// return pointers past leading whitespace) and consumes the two leading
-  /// header lines itself.
+  /// Splits data[0, split_end) into lines (strip trailing CR/whitespace,
+  /// NUL-terminate, skip blanks/comments, point past leading whitespace) and
+  /// consumes the two leading header lines itself.
   void carve_lines(IngestChunk* c, std::size_t split_end) {
     char* base = c->data.data();
     std::size_t pos = 0;
@@ -603,8 +414,11 @@ private:
         name_.assign(start, q);
         check_line_consumed(q, "graph name", p);
       } else if (idx == 1) {
-        // Publishing n_ here happens-before every push of a chunk that needs
-        // it: workers and the committer only see chunks through the queues.
+        // Minimum on-disk record sizes: a node line is at least "0 0\n" (4
+        // bytes), an edge line at least "0 1 0 0\n" (8); 2 and 4 keep the
+        // bound safe for exotic-but-legal whitespace. Publishing n_ here
+        // happens-before every push of a chunk that needs it: parsers and
+        // the committer only take chunks under m_.
         n_ = parse_count_line(p, "nodes", file_size_, 2);
         SC_CHECK(n_ > 0, "stream graph must have at least one node");
       } else {
@@ -614,23 +428,39 @@ private:
     }
   }
 
-  /// Parse-worker body (runs on pool workers until the queue closes). Never
-  /// throws: malformed lines are captured per chunk and re-thrown by the
-  /// committer in file order.
-  void parse_loop() {
-    std::vector<IngestChunk*> got;
-    got.reserve(1);
-    for (;;) {
-      got.clear();
-      if (q_parse_.pop_batch(got, 1, std::chrono::microseconds(0)) == 0) return;
-      IngestChunk* c = got[0];
-      if (!abort_.load(std::memory_order_relaxed)) parse_chunk(c);
-      {
-        MutexLock lock(m_);
-        ready_[c->seq % window_] = c;
-      }
-      cv_.notify_all();
+  /// Appends `c` to the parse queue as the next chunk in sequence. Returns
+  /// false once the pipeline has stopped.
+  bool push(IngestChunk* c) SC_EXCLUDES(m_) {
+    {
+      MutexLock lock(m_);
+      if (stopped_) return false;
+      c->seq = pushed_;
+      queued_[pushed_ % window_] = c;
+      ++pushed_;
+      queue_peak_ = std::max(queue_peak_, pushed_ - parse_next_);
     }
+    cv_parse_.notify_one();
+    cv_commit_.notify_one();  // the chunk may be the one the committer awaits
+    return true;
+  }
+
+  bool stopping() SC_EXCLUDES(m_) {
+    MutexLock lock(m_);
+    return stopped_;
+  }
+
+  /// Takes the oldest queued chunk (parse_next_ < pushed_).
+  IngestChunk* take_queued() SC_REQUIRES(m_) {
+    return std::exchange(queued_[parse_next_++ % window_], nullptr);
+  }
+
+  /// Hands a parsed chunk to the committer.
+  void publish(IngestChunk* c) SC_EXCLUDES(m_) {
+    {
+      MutexLock lock(m_);
+      ready_[c->seq % window_] = c;
+    }
+    cv_commit_.notify_one();
   }
 
   /// Parses every content line of one chunk by its global index: node
@@ -666,8 +496,7 @@ private:
           SC_CHECK(src != dst_id, "self-loop edge in line '" << line << "'");
           SC_CHECK(payload >= 0.0 && rf >= 0.0,
                    "negative edge feature in line '" << line << "'");
-          // src/dst < n <= kMaxIngestCount, so the narrowing is exact (the
-          // serial reader's checked_node_id cannot fire either).
+          // src/dst < n <= kMaxIngestCount, so the narrowing is exact.
           c->edges.push_back({static_cast<NodeId>(src), static_cast<NodeId>(dst_id),  // sc-lint: allow(unchecked-id-narrowing)
                               static_cast<float>(payload), static_cast<float>(rf)});
         }
@@ -683,30 +512,33 @@ private:
   std::FILE* const file_;  ///< owned by the caller; reader thread is the sole user
   const std::uint64_t file_size_;
   const std::size_t chunk_bytes_;
-  ThreadPool::TaskGroup parsers_;  ///< one parse_loop per pool worker
   const std::size_t window_;
 
   std::vector<std::unique_ptr<IngestChunk>> chunks_;
   common::BoundedQueue<IngestChunk*> q_free_;
-  common::BoundedQueue<IngestChunk*> q_parse_;
 
   Mutex m_;
-  CondVar cv_;
-  std::vector<IngestChunk*> ready_ SC_GUARDED_BY(m_);  ///< seq % window_ slots
+  CondVar cv_parse_;   ///< parse loops wait here for queued chunks
+  CondVar cv_commit_;  ///< the committer waits here for its next chunk
+  // Chunks pushed but not yet taken by a parser (seqs [parse_next_,
+  // pushed_)) and parsed chunks awaiting the committer, both by seq % window_:
+  // at most window_ chunks are in flight, so no two share a slot.
+  std::vector<IngestChunk*> queued_ SC_GUARDED_BY(m_);
+  std::vector<IngestChunk*> ready_ SC_GUARDED_BY(m_);
   std::size_t pushed_ SC_GUARDED_BY(m_) = 0;
+  std::size_t parse_next_ SC_GUARDED_BY(m_) = 0;
   bool reader_done_ SC_GUARDED_BY(m_) = false;
+  bool stopped_ SC_GUARDED_BY(m_) = false;
   std::exception_ptr reader_error_ SC_GUARDED_BY(m_);
-  std::atomic<bool> abort_{false};
 
   // Reader-thread state. name_/n_ are published before the first dependent
-  // chunk is pushed (queue mutex ordering); the counters are read by the
-  // committer only after finish() joins the reader.
+  // chunk is pushed; the counters are read by the committer only after
+  // finish() joins the reader (queue_peak_ is written under m_, by the
+  // reader only).
   std::string name_;
   std::size_t n_ = 0;
   std::size_t content_idx_ = 0;
-  std::size_t next_seq_ = 0;
   std::size_t bytes_read_ = 0;
-  std::size_t chunk_count_ = 0;
   std::size_t stitches_ = 0;
   std::size_t queue_peak_ = 0;
 
@@ -717,8 +549,8 @@ constexpr std::size_t kNoErrorIdx = std::numeric_limits<std::size_t>::max();
 
 /// Pipelined single-pass reader: commits parsed chunks in sequence order,
 /// retains the edge records in file order, and scatters them into CSR slot
-/// order at the end — the same offsets[src]++ walk as the serial pass 2, so
-/// the slot layout is bit-identical.
+/// order at the end with an offsets[src]++ cursor walk, so each source's
+/// slots hold its edges in file order.
 // sc-lint: streaming-path
 CsrGraph read_csr_pipelined(const std::string& path, StreamingReadStats* stats,
                             IngestSink* sink, ThreadPool& pool) {
@@ -737,7 +569,7 @@ CsrGraph read_csr_pipelined(const std::string& path, StreamingReadStats* stats,
 
   // Declared after `closer` so the pipeline (and its reader thread) is torn
   // down before the FILE* goes away.
-  IngestPipeline pipe(path, file, file_size, chunk_bytes, pool);
+  IngestPipeline pipe(path, file, file_size, chunk_bytes, pool.size());
 
   std::string name;
   std::size_t n = 0;
@@ -753,64 +585,82 @@ CsrGraph read_csr_pipelined(const std::string& path, StreamingReadStats* stats,
   bool end_seen = false;
   std::uint64_t batch_seq = 0;
 
-  for (std::size_t seq = 0; !end_seen; ++seq) {
-    IngestChunk* c = pipe.wait_next(seq);
-    if (c == nullptr) break;
-    if (!allocated) {
-      n = pipe.num_nodes();
-      name = pipe.name();
-      ipt.resize(n);
-      selectivity.resize(n);
-      offsets.assign(n + 1, 0);
-      allocated = true;
-    }
-    const std::size_t header_idx = n + 2;
-    const std::size_t lo = c->first_idx;
-    const std::size_t hi = lo + c->lines.size() - 1;
-    const std::size_t err_idx = c->error != nullptr ? c->error_idx : kNoErrorIdx;
-    if (!c->node_ipt.empty()) {
-      std::copy(c->node_ipt.begin(), c->node_ipt.end(),
-                ipt.begin() + static_cast<std::ptrdiff_t>(lo - 2));
-      std::copy(c->node_sel.begin(), c->node_sel.end(),
-                selectivity.begin() + static_cast<std::ptrdiff_t>(lo - 2));
-      nodes_done += c->node_ipt.size();
-    }
-    if (err_idx < header_idx) std::rethrow_exception(c->error);
-    if (!m_known && lo <= header_idx && header_idx <= hi) {
-      m = parse_count_line(c->lines[header_idx - lo], "edges", pipe.file_size(), 4);
-      m_known = true;
-      end_idx = header_idx + m + 1;
-      recs.reserve(m);
-    }
-    if (m_known) {
-      // The worker parsed every line past the header as an edge record; keep
-      // only those before the 'end' line (it did not know m yet).
-      const std::size_t first_edge = std::max(lo, header_idx + 1);
-      const std::size_t in_range = end_idx > first_edge ? end_idx - first_edge : 0;
-      const std::size_t take = std::min(c->edges.size(), in_range);
-      if (take > 0) {
-        const std::size_t base = recs.size();
-        recs.insert(recs.end(), c->edges.begin(),
-                    c->edges.begin() + static_cast<std::ptrdiff_t>(take));
-        for (std::size_t i = base; i < base + take; ++i) {
-          ++offsets[static_cast<std::size_t>(recs[i].src) + 1];
+  const auto commit = [&] {
+    for (std::size_t seq = 0; !end_seen; ++seq) {
+      IngestChunk* c = pipe.next_parsed(seq);
+      if (c == nullptr) break;
+      if (!allocated) {
+        n = pipe.num_nodes();
+        name = pipe.name();
+        ipt.resize(n);
+        selectivity.resize(n);
+        offsets.assign(n + 1, 0);
+        allocated = true;
+      }
+      const std::size_t header_idx = n + 2;
+      const std::size_t lo = c->first_idx;
+      const std::size_t hi = lo + c->lines.size() - 1;
+      const std::size_t err_idx = c->error != nullptr ? c->error_idx : kNoErrorIdx;
+      if (!c->node_ipt.empty()) {
+        std::copy(c->node_ipt.begin(), c->node_ipt.end(),
+                  ipt.begin() + static_cast<std::ptrdiff_t>(lo - 2));
+        std::copy(c->node_sel.begin(), c->node_sel.end(),
+                  selectivity.begin() + static_cast<std::ptrdiff_t>(lo - 2));
+        nodes_done += c->node_ipt.size();
+      }
+      if (err_idx < header_idx) std::rethrow_exception(c->error);
+      if (!m_known && lo <= header_idx && header_idx <= hi) {
+        m = parse_count_line(c->lines[header_idx - lo], "edges", pipe.file_size(), 4);
+        m_known = true;
+        end_idx = header_idx + m + 1;
+        recs.reserve(m);
+      }
+      if (m_known) {
+        // The parser read every line past the header as an edge record; keep
+        // only those before the 'end' line (it did not know m yet).
+        const std::size_t first_edge = std::max(lo, header_idx + 1);
+        const std::size_t in_range = end_idx > first_edge ? end_idx - first_edge : 0;
+        const std::size_t take = std::min(c->edges.size(), in_range);
+        if (take > 0) {
+          const std::size_t base = recs.size();
+          recs.insert(recs.end(), c->edges.begin(),
+                      c->edges.begin() + static_cast<std::ptrdiff_t>(take));
+          for (std::size_t i = base; i < base + take; ++i) {
+            ++offsets[static_cast<std::size_t>(recs[i].src) + 1];
+          }
+          edges_done += take;
+          if (sink != nullptr) {
+            sink->on_edge_batch(batch_seq++,
+                                std::span<const CsrEdgeRec>(recs.data() + base, take));
+          }
         }
-        edges_done += take;
-        if (sink != nullptr) {
-          sink->on_edge_batch(batch_seq++,
-                              std::span<const CsrEdgeRec>(recs.data() + base, take));
+        if (err_idx < end_idx) std::rethrow_exception(c->error);
+        if (lo <= end_idx && end_idx <= hi) {
+          SC_CHECK(std::strcmp(c->lines[end_idx - lo], "end") == 0,
+                   "expected 'end' terminating graph in '" << path << "'");
+          end_seen = true;  // ReadsFirstGraphOnly: ignore everything after
         }
       }
-      if (err_idx < end_idx) std::rethrow_exception(c->error);
-      if (lo <= end_idx && end_idx <= hi) {
-        SC_CHECK(std::strcmp(c->lines[end_idx - lo], "end") == 0,
-                 "expected 'end' terminating graph in '" << path << "'");
-        end_seen = true;  // ReadsFirstGraphOnly: ignore everything after
-      }
+      pipe.recycle(c);
     }
-    pipe.recycle(c);
-  }
-  pipe.finish();
+  };
+  // Index 0, which parallel_for runs on this thread, commits: the CSR
+  // arrays and the sink's batches are allocated where they are used. The
+  // other indices are parse loops, one per pool worker. The committer stops
+  // the pipeline on every exit, which ends the parse loops.
+  pool.parallel_for(pool.size() + 1, [&](std::size_t i) {
+    if (i > 0) {
+      pipe.parse_loop();
+      return;
+    }
+    try {
+      commit();
+    } catch (...) {
+      pipe.finish();
+      throw;
+    }
+    pipe.finish();
+  });
   if (!end_seen) {
     pipe.rethrow_reader_error();  // later file offsets than any parsed chunk
     if (!allocated) n = pipe.num_nodes();
@@ -825,9 +675,9 @@ CsrGraph read_csr_pipelined(const std::string& path, StreamingReadStats* stats,
   for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
 
   // Scatter the file-order records into CSR slot order. Sources are split
-  // into contiguous ranges balanced by edge count; each worker claims slots
-  // for its own sources only, so the offsets[src]++ cursor walk — and with it
-  // the slot layout — matches the serial pass 2 exactly at any thread count.
+  // into contiguous ranges balanced by edge count; each index claims slots
+  // for its own sources only, so the offsets[src]++ cursor walk — and with
+  // it the slot layout — is the same at any thread count.
   std::vector<NodeId> dst(m);
   std::vector<float> payload(m);
   std::vector<float> rate_factor(m);
@@ -868,7 +718,6 @@ CsrGraph read_csr_pipelined(const std::string& path, StreamingReadStats* stats,
 
   if (stats != nullptr) {
     stats->bytes_read = pipe.bytes_read();
-    stats->passes = 1;
     stats->buffer_bytes = chunk_bytes;
     stats->chunks = pipe.chunk_count();
     stats->stitches = pipe.stitches();
@@ -892,12 +741,6 @@ ThreadPool* set_ingest_pool(ThreadPool* pool) {
 // sc-lint: streaming-path
 CsrGraph read_csr(const std::string& path, StreamingReadStats* stats, IngestSink* sink) {
   if (stats != nullptr) *stats = StreamingReadStats{};
-  // The pipelined reader parks parse loops on pool workers; from inside a
-  // pool worker that would self-deadlock (same rule as
-  // ThreadPool::parallel_for), so nested readers read serially.
-  if (ThreadPool::in_worker()) {
-    return read_csr_serial(path, stats, sink);
-  }
   ThreadPool* override_pool = g_ingest_pool.load(std::memory_order_relaxed);
   return read_csr_pipelined(path, stats, sink,
                             override_pool != nullptr ? *override_pool

@@ -72,24 +72,21 @@ private:
   std::string name_;
 };
 
-/// Test knob: byte size of one pipelined ingest chunk (0 restores the
-/// default, which equals the serial reader's 256 KiB buffer). Tiny chunks
-/// force every line to stitch across a chunk boundary, which is exactly what
-/// the chunked-scanner edge-case tests want to exercise.
+/// Test knob: byte size of one ingest chunk (0 restores the 256 KiB
+/// default). Tiny chunks force every line to stitch across a chunk boundary,
+/// which is exactly what the chunked-scanner edge-case tests want to
+/// exercise.
 void set_ingest_chunk_bytes(std::size_t bytes);
 
-/// Test knob: pool used by the pipelined reader for parse workers and the
-/// CSR scatter (nullptr restores ThreadPool::global()). Returns the previous
+/// Test knob: pool used by the reader for parse loops and the CSR scatter (nullptr restores ThreadPool::global()). Returns the previous
 /// override. Lets identity tests pin 1/2/8-worker pools without touching the
 /// global pool configuration.
 ThreadPool* set_ingest_pool(ThreadPool* pool);
 
-/// Ingest accounting for the buffered reader.
+/// Ingest accounting for the reader.
 struct StreamingReadStats {
-  std::size_t bytes_read = 0;    ///< total bytes consumed across all passes
-  std::size_t passes = 0;        ///< file passes (serial: 2; pipelined: 1)
-  std::size_t buffer_bytes = 0;  ///< I/O buffer (serial) or chunk size
-  // Pipelined-reader pipeline stats (all 0 on the serial path).
+  std::size_t bytes_read = 0;    ///< bytes read from the file (one pass)
+  std::size_t buffer_bytes = 0;  ///< chunk size
   std::size_t chunks = 0;        ///< chunks pushed through the parse queue
   std::size_t stitches = 0;      ///< chunk boundaries that split a line
   std::size_t queue_peak = 0;    ///< parse-queue depth high-water mark
@@ -105,10 +102,10 @@ struct CsrEdgeRec {
 
 /// Consumer hook for ingest/partition overlap (DESIGN.md §9): read_csr
 /// delivers every validated edge exactly once, in file order, as a sequence
-/// of batches numbered 0,1,2,… — always from the single commit thread, while
-/// parse workers race ahead on later chunks. Batch *boundaries* depend on
-/// the reader (pipelined or serial) and the chunk size; the concatenated
-/// record stream does not.
+/// of batches numbered 0,1,2,… — always from the calling thread, which
+/// commits, while parse loops race ahead on later chunks. Batch
+/// *boundaries* depend on the chunk size; the concatenated record stream
+/// does not.
 class IngestSink {
 public:
   virtual ~IngestSink() = default;
@@ -120,17 +117,16 @@ public:
 /// and the file size BEFORE any allocation.
 ///
 /// One file pass: a background reader thread splits the byte stream into
-/// stitched line chunks, pool workers parse the records, and the calling
-/// thread commits results in sequence order, so errors surface for the
-/// earliest malformed line; transient memory holds the parsed edges in file
-/// order (16 bytes/edge) until they are scattered into CSR slot order.
-///
-/// Called from inside a pool worker or a ThreadPool::InlineScope
-/// (ThreadPool::in_worker()), it reads serially instead: two bounded-buffer
-/// passes — pass 1 validates the records and counts out-degrees, pass 2
-/// fills the CSR slots in place; transient memory is one fixed-size I/O
-/// buffer. Both readers produce bit-identical CsrGraphs and fail on the same
-/// malformed line.
+/// stitched line chunks, parse loops on pool workers parse the records, and
+/// the calling thread commits results in sequence order, so errors surface
+/// for the earliest malformed line; transient memory holds the parsed edges in
+/// file order (16 bytes/edge) until they are scattered into CSR slot order.
+/// The calling thread parses the chunk it waits for itself when no parse
+/// loop has taken it, so a read
+/// finishes without a single parse loop: from a pool worker, inside a
+/// ThreadPool::InlineScope, on a 1-worker pool, or while every worker is
+/// busy. The CsrGraph and the failing line never depend on which thread
+/// parsed what.
 CsrGraph read_csr(const std::string& path, StreamingReadStats* stats = nullptr,
                   IngestSink* sink = nullptr);
 

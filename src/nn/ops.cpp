@@ -81,13 +81,13 @@ constexpr std::size_t kTanhFlops = 200;
 /// Runs fn(lo, hi) over [0, rows): as fixed kPanelRows panels when there are
 /// at least two panels and `work` (multiply-adds) pays for the fan-out, else
 /// once over all rows on this thread. The panels go through
-/// ThreadPool::claim_for, so this thread works its own panels alongside the
-/// global pool's helpers and never waits for a helper that has not started.
-/// Every caller computes each output row from its inputs alone, in the same
-/// order for any split, so the result is bit-identical either way. Pool
-/// workers and InlineScope threads (sc_serve's request workers) never fan
-/// out, and check that before touching ThreadPool::global(), so they never
-/// build the pool.
+/// ThreadPool::parallel_for, so this thread works its own panels alongside
+/// the global pool's helpers and never waits for a helper that has not
+/// started. Every caller computes each output row from its inputs alone, in
+/// the same order for any split, so the result is bit-identical either way.
+/// Pool workers and InlineScope threads (sc_serve's request workers) never
+/// fan out, and this checks that before touching ThreadPool::global(), so
+/// they never build the pool.
 template <typename Fn>
 void for_row_panels(std::size_t rows, std::size_t work, const Fn& fn) {
   if (rows < 2 * kPanelRows || work < kParallelFlops || ThreadPool::in_worker() ||
@@ -96,7 +96,7 @@ void for_row_panels(std::size_t rows, std::size_t work, const Fn& fn) {
     return;
   }
   const std::size_t panels = (rows + kPanelRows - 1) / kPanelRows;
-  ThreadPool::global().claim_for(panels, [&fn, rows](std::size_t pi) {
+  ThreadPool::global().parallel_for(panels, [&fn, rows](std::size_t pi) {
     const std::size_t lo = pi * kPanelRows;
     fn(lo, std::min(rows, lo + kPanelRows));
   });

@@ -35,9 +35,9 @@ ThreadPool& bisection_pool() {
 
 // ---------------------------------------------------------------------------
 // Every intermediate of the multilevel algorithm (coarsening levels, bisection
-// frames, induced subgraphs, the uncoarsening double buffer) is reused from a
-// per-thread PartitionWorkspace (DESIGN.md §5.4), so after warm-up at a given
-// graph shape a partition allocates only its result.
+// jobs and scratch, induced subgraphs, the uncoarsening double buffer) is
+// reused from a per-thread PartitionWorkspace (DESIGN.md §5.4), so after
+// warm-up at a given graph shape a partition allocates only its result.
 // ---------------------------------------------------------------------------
 
 /// Induced subgraph over `keep` (in order), built into `out` via
@@ -74,7 +74,7 @@ void induce_into(const WeightedGraph& g, const std::vector<NodeId>& keep,
 /// discarded on pop.
 // sc-lint: hot-path
 void grow_bisection_ws(const WeightedGraph& g, double target0, Rng& rng,
-                       std::vector<int>& part, BisectFrame& f) {
+                       std::vector<int>& part, BisectScratch& f) {
   const std::size_t n = g.num_nodes();
   part.assign(n, 1);
   f.conn.assign(n, 0.0);
@@ -138,7 +138,7 @@ void grow_bisection_ws(const WeightedGraph& g, double target0, Rng& rng,
 /// target0.
 // sc-lint: hot-path
 void bisect_ws(const WeightedGraph& g, double target0, double eps, std::size_t trials,
-               std::size_t refine_passes, Rng& rng, BisectFrame& f) {
+               std::size_t refine_passes, Rng& rng, BisectScratch& f) {
   double best_cut = std::numeric_limits<double>::infinity();
   double best_bal = std::numeric_limits<double>::infinity();
   fm_refine_bind(g);  // every trial refines the same graph
@@ -158,114 +158,70 @@ void bisect_ws(const WeightedGraph& g, double target0, double eps, std::size_t t
   }
 }
 
-/// Recursive bisection into parts labelled [label_base, label_base +
-/// fractions.size()), with part weights proportional to `fractions`.
-///
-/// `rng` is taken by value: each subtree consumes a private stream, and the
-/// two child streams are split() off the parent's after this node's draws.
-/// The draw sequence of any subtree therefore depends only on its path from
-/// the root — never on how its siblings are traversed or scheduled — which is
-/// what lets recursive_bisect_parallel fan subtrees out over a thread pool
-/// without changing results.
-///
-/// Storage is frame-owned: frames are indexed by depth, the two sibling
-/// recursions at depth+1 reuse the same frame sequentially, and this depth's
-/// subgraphs stay alive in its own frame.
-void recursive_bisect_ws(const WeightedGraph& g, std::span<const double> fractions,
-                         int label_base, double eps, std::size_t trials,
-                         std::size_t refine_passes, Rng rng,
-                         std::span<const NodeId> to_parent, std::vector<int>& out,
-                         PartitionWorkspace& ws, std::size_t depth) {
-  const std::size_t k = fractions.size();
-  if (k <= 1) {
-    for (const NodeId v : to_parent) out[v] = label_base;
-    return;
-  }
-  BisectFrame& f = ws.frame(depth);
-  const std::size_t k1 = k / 2;
-  double frac_total = 0.0, frac_first = 0.0;
-  for (std::size_t q = 0; q < k; ++q) {
-    frac_total += fractions[q];
-    if (q < k1) frac_first += fractions[q];
-  }
-  const double target0 = g.total_node_weight() * frac_first / frac_total;
-
-  bisect_ws(g, target0, eps, trials, refine_passes, rng, f);
-
-  f.side0.clear();
-  f.side1.clear();
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    (f.part[v] == 0 ? f.side0 : f.side1).push_back(v);
-  }
-  // Degenerate split (tiny graphs): fall back to round-robin.
-  if (f.side0.empty() || f.side1.empty()) {
-    for (std::size_t i = 0; i < g.num_nodes(); ++i) {
-      out[to_parent[i]] = label_base + static_cast<int>(i % k);
-    }
-    return;
-  }
-
-  induce_into(g, f.side0, ws, f.g0);
-  induce_into(g, f.side1, ws, f.g1);
-  f.lift0.resize(f.side0.size());
-  f.lift1.resize(f.side1.size());
-  for (std::size_t i = 0; i < f.side0.size(); ++i) f.lift0[i] = to_parent[f.side0[i]];
-  for (std::size_t i = 0; i < f.side1.size(); ++i) f.lift1[i] = to_parent[f.side1[i]];
-
-  Rng rng0 = rng.split();
-  Rng rng1 = rng.split();
-  recursive_bisect_ws(f.g0, fractions.first(k1), label_base, eps, trials, refine_passes,
-                      rng0, f.lift0, out, ws, depth + 1);
-  recursive_bisect_ws(f.g1, fractions.subspan(k1), label_base + static_cast<int>(k1),
-                      eps, trials, refine_passes, rng1, f.lift1, out, ws, depth + 1);
-}
-
 // ---------------------------------------------------------------------------
-// Parallel recursive bisection (DESIGN.md §5.5): once a node has been bisected,
-// its two subtrees are fully independent — disjoint node sets, disjoint label
-// ranges, and private split() RNG streams — so each level of the bisection
-// tree can fan out over the thread pool. Jobs own their induced subgraphs (the
-// frame-per-depth scheme of the serial recursion cannot be shared between
-// concurrent siblings); all other scratch comes from the executing worker's
-// thread-local PartitionWorkspace / FmScratch. Output writes touch only the
-// job's own to_parent ids, so no two jobs ever store to the same element.
+// Recursive bisection, level by level (DESIGN.md §5.5). Once a node of the
+// bisection tree has been bisected, its two subtrees are fully independent —
+// disjoint node sets, disjoint label ranges, and private split() RNG streams —
+// so each level's frontier fans out through parallel_for. The frontier's
+// jobs (induced subgraphs, to_parent lists) live in the calling thread's
+// PartitionWorkspace and are reused from call to call; the scratch of each
+// bisection step comes from the thread that runs it. Output writes touch
+// only a job's own nodes, so no two jobs ever store to the same element.
 // ---------------------------------------------------------------------------
 
-struct SubtreeJob {
-  WeightedGraph owned;                  ///< induced subtree graph (root: unused)
-  const WeightedGraph* root = nullptr;  ///< set only on the root job
-  std::vector<NodeId> to_parent;        ///< subtree node -> coarsest-graph node
-  std::size_t frac_lo = 0;              ///< [frac_lo, frac_hi) of the fractions
-  std::size_t frac_hi = 0;
-  int label_base = 0;
-  Rng rng;                              ///< this subtree's private stream
-
-  const WeightedGraph& graph() const { return root != nullptr ? *root : owned; }
+/// What every job of one bisection call shares. parallel_for's body captures
+/// only a reference to it, so the std::function it builds stays in its local
+/// buffer and a call that runs inline allocates nothing.
+struct Bisection {
+  std::span<const double> fractions;
+  double eps;
+  std::size_t trials;
+  std::size_t refine_passes;
+  std::vector<int>& out;
+  PartitionWorkspace& ws;  ///< the caller's: holds the frontier and children
 };
 
-/// One bisection step of `jb`, appending its child jobs to `children` (none
-/// for leaves and degenerate splits). Identical arithmetic, tie-breaking and
-/// RNG draws to what the serial recursion performs at this node.
-void process_subtree(SubtreeJob& jb, std::span<const double> fractions, double eps,
-                     std::size_t trials, std::size_t refine_passes, std::vector<int>& out,
-                     std::vector<SubtreeJob>& children) {
-  const WeightedGraph& g = jb.graph();
-  const std::size_t k = jb.frac_hi - jb.frac_lo;
-  if (k <= 1) {
-    for (const NodeId v : jb.to_parent) out[v] = jb.label_base;
+/// Turns one side of `parent`'s bisection into a child job over the parts
+/// [frac_lo, frac_hi), or labels the side directly when that is one part.
+void emit_child(const Bisection& b, const BisectJob& parent,
+                const std::vector<NodeId>& side, std::size_t frac_lo, std::size_t frac_hi,
+                int label_base, const Rng& rng, PartitionWorkspace& scratch,
+                BisectJob& child) {
+  if (frac_hi - frac_lo == 1) {
+    for (const NodeId v : side) b.out[parent.to_parent[v]] = label_base;
     return;
   }
-  PartitionWorkspace& ws = PartitionWorkspace::local();
-  BisectFrame& f = ws.frame(0);  // depth-indexed frames are a serial-recursion concept
+  induce_into(*parent.graph, side, scratch, child.owned);
+  child.graph = &child.owned;
+  child.to_parent.resize(side.size());
+  for (std::size_t i = 0; i < side.size(); ++i) child.to_parent[i] = parent.to_parent[side[i]];
+  child.frac_lo = frac_lo;
+  child.frac_hi = frac_hi;
+  child.label_base = label_base;
+  child.rng = rng;
+}
+
+/// One bisection step of frontier job `i`: its children go to child slots
+/// 2i and 2i + 1 (a slot left without a child has graph == nullptr).
+void bisect_job(const Bisection& b, std::size_t i) {
+  BisectJob& jb = *b.ws.frontier[i];
+  BisectJob& c0 = *b.ws.children[2 * i];
+  BisectJob& c1 = *b.ws.children[2 * i + 1];
+  c0.graph = nullptr;
+  c1.graph = nullptr;
+  const WeightedGraph& g = *jb.graph;
+  const std::size_t k = jb.frac_hi - jb.frac_lo;  // >= 2: one part is labelled directly
+  PartitionWorkspace& scratch = PartitionWorkspace::local();
+  BisectScratch& f = scratch.bisect;
   const std::size_t k1 = k / 2;
   double frac_total = 0.0, frac_first = 0.0;
   for (std::size_t q = 0; q < k; ++q) {
-    frac_total += fractions[jb.frac_lo + q];
-    if (q < k1) frac_first += fractions[jb.frac_lo + q];
+    frac_total += b.fractions[jb.frac_lo + q];
+    if (q < k1) frac_first += b.fractions[jb.frac_lo + q];
   }
   const double target0 = g.total_node_weight() * frac_first / frac_total;
 
-  bisect_ws(g, target0, eps, trials, refine_passes, jb.rng, f);
+  bisect_ws(g, target0, b.eps, b.trials, b.refine_passes, jb.rng, f);
 
   f.side0.clear();
   f.side1.clear();
@@ -274,66 +230,51 @@ void process_subtree(SubtreeJob& jb, std::span<const double> fractions, double e
   }
   // Degenerate split (tiny graphs): fall back to round-robin.
   if (f.side0.empty() || f.side1.empty()) {
-    for (std::size_t i = 0; i < g.num_nodes(); ++i) {
-      out[jb.to_parent[i]] = jb.label_base + static_cast<int>(i % k);
+    for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+      b.out[jb.to_parent[v]] = jb.label_base + static_cast<int>(v % k);
     }
     return;
   }
-
-  Rng rng0 = jb.rng.split();
-  Rng rng1 = jb.rng.split();
-
-  children.resize(2);
-  SubtreeJob& c0 = children[0];
-  induce_into(g, f.side0, ws, c0.owned);
-  c0.to_parent.resize(f.side0.size());
-  for (std::size_t i = 0; i < f.side0.size(); ++i) {
-    c0.to_parent[i] = jb.to_parent[f.side0[i]];
-  }
-  c0.frac_lo = jb.frac_lo;
-  c0.frac_hi = jb.frac_lo + k1;
-  c0.label_base = jb.label_base;
-  c0.rng = rng0;
-
-  SubtreeJob& c1 = children[1];
-  induce_into(g, f.side1, ws, c1.owned);
-  c1.to_parent.resize(f.side1.size());
-  for (std::size_t i = 0; i < f.side1.size(); ++i) {
-    c1.to_parent[i] = jb.to_parent[f.side1[i]];
-  }
-  c1.frac_lo = jb.frac_lo + k1;
-  c1.frac_hi = jb.frac_hi;
-  c1.label_base = jb.label_base + static_cast<int>(k1);
-  c1.rng = rng1;
+  // Each subtree's stream depends only on its path from the root, never on
+  // how its siblings are scheduled, so results are thread-count invariant.
+  const Rng rng0 = jb.rng.split();
+  const Rng rng1 = jb.rng.split();
+  emit_child(b, jb, f.side0, jb.frac_lo, jb.frac_lo + k1, jb.label_base, rng0, scratch, c0);
+  emit_child(b, jb, f.side1, jb.frac_lo + k1, jb.frac_hi,
+             jb.label_base + static_cast<int>(k1), rng1, scratch, c1);
 }
 
-/// Level-synchronous BFS over the bisection tree: each frontier fans out via
-/// parallel_for (which itself degrades to serial execution for a single job,
-/// a one-worker pool, or when already on a pool worker). Bit-identical to
-/// recursive_bisect_ws for any pool size, including the serial fallback.
-void recursive_bisect_parallel(ThreadPool& pool, const WeightedGraph& g,
-                               std::span<const double> fractions, double eps,
-                               std::size_t trials, std::size_t refine_passes, Rng rng,
-                               std::span<const NodeId> to_parent, std::vector<int>& out) {
-  std::vector<SubtreeJob> frontier(1);
-  frontier[0].root = &g;
-  frontier[0].to_parent.assign(to_parent.begin(), to_parent.end());
-  frontier[0].frac_hi = fractions.size();
-  frontier[0].rng = rng;
-
-  while (!frontier.empty()) {
-    std::vector<std::vector<SubtreeJob>> next(frontier.size());
-    pool.parallel_for(frontier.size(), [&](std::size_t i) {
-      process_subtree(frontier[i], fractions, eps, trials, refine_passes, out, next[i]);
-    });
-    std::size_t total = 0;
-    for (const std::vector<SubtreeJob>& c : next) total += c.size();
-    std::vector<SubtreeJob> merged;
-    merged.reserve(total);
-    for (std::vector<SubtreeJob>& c : next) {
-      for (SubtreeJob& jb : c) merged.push_back(std::move(jb));
+/// Recursive bisection of `g` into fractions.size() >= 2 parts, with part
+/// weights proportional to `fractions`: a level-synchronous BFS over the
+/// bisection tree whose frontier fans out via parallel_for.
+void recursive_bisect(ThreadPool& pool, const WeightedGraph& g,
+                      std::span<const double> fractions, double eps, std::size_t trials,
+                      std::size_t refine_passes, Rng rng, std::vector<int>& out,
+                      PartitionWorkspace& ws) {
+  SC_ASSERT(fractions.size() >= 2, "recursive bisection needs at least two parts");
+  const Bisection b{fractions, eps, trials, refine_passes, out, ws};
+  PartitionWorkspace::grow_jobs(ws.frontier, 1);
+  BisectJob& root = *ws.frontier[0];
+  root.graph = &g;
+  root.to_parent.resize(g.num_nodes());
+  std::iota(root.to_parent.begin(), root.to_parent.end(), NodeId{0});
+  root.frac_lo = 0;
+  root.frac_hi = fractions.size();
+  root.label_base = 0;
+  root.rng = rng;
+  for (std::size_t live = 1; live > 0;) {
+    PartitionWorkspace::grow_jobs(ws.children, 2 * live);
+    // A caller on a pool worker (every reward evaluation) runs the level
+    // inline, without allocating; a top-level caller's fan-out allocates its
+    // claim state and queued helper tasks.
+    pool.parallel_for(live, [&b](std::size_t i) { bisect_job(b, i); });  // sc-lint: allow(transitive-alloc)
+    // Compact the emitted children to the front; they are the next frontier.
+    std::size_t next = 0;
+    for (std::size_t j = 0; j < 2 * live; ++j) {
+      if (ws.children[j]->graph != nullptr) std::swap(ws.children[j], ws.children[next++]);
     }
-    frontier = std::move(merged);
+    std::swap(ws.frontier, ws.children);
+    live = next;
   }
 }
 
@@ -383,29 +324,11 @@ const std::vector<int>& partition_attempt_ws(const WeightedGraph& g,
 
   // ---- Initial partition on the coarsest graph ----------------------------
   ws.part_a.assign(cur->num_nodes(), 0);
-  {
-    ws.identity.resize(cur->num_nodes());
-    std::iota(ws.identity.begin(), ws.identity.end(), NodeId{0});
-    // Both drivers receive the same split-off stream, and the parallel one is
-    // bit-identical by construction. The BFS driver is only engaged where it
-    // can actually fan out (not on a pool worker or inside an InlineScope, and
-    // a pool with >1 workers): the serial recursion reuses frames instead of
-    // allocating per-subtree jobs.
-    Rng init_rng = rng.split();
-    if (!ThreadPool::in_worker() && bisection_pool().size() > 1) {
-      // The BFS driver allocates per-frontier job buffers — the price of
-      // fanning subtrees out across the pool; the serial path stays clean.
-      recursive_bisect_parallel(bisection_pool(), *cur, std::span<const double>(fractions),  // sc-lint: allow(transitive-alloc)
-                                opts.imbalance_eps, opts.bisection_trials,
-                                opts.refine_passes, init_rng, ws.identity, ws.part_a);
-    } else {
-      recursive_bisect_ws(*cur, std::span<const double>(fractions), 0, opts.imbalance_eps,
-                          opts.bisection_trials, opts.refine_passes, init_rng, ws.identity,
-                          ws.part_a, ws, 0);
-    }
-    greedy_kway_refine(*cur, ws.part_a, targets_for(*cur), opts.imbalance_eps,
-                       opts.refine_passes);
-  }
+  recursive_bisect(bisection_pool(), *cur, std::span<const double>(fractions),
+                   opts.imbalance_eps, opts.bisection_trials, opts.refine_passes, rng.split(),
+                   ws.part_a, ws);
+  greedy_kway_refine(*cur, ws.part_a, targets_for(*cur), opts.imbalance_eps,
+                     opts.refine_passes);
 
   // ---- Uncoarsening with refinement ---------------------------------------
   for (std::size_t lvl = num_levels; lvl > 0; --lvl) {

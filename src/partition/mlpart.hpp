@@ -21,11 +21,11 @@ class ThreadPool;
 namespace sc::partition {
 
 /// The independent subtrees of the initial recursive bisection fan out over
-/// a thread pool (DESIGN.md §5.5), unless the caller is a pool worker or
-/// inside a ThreadPool::InlineScope, or the pool has one worker; then the
-/// bisection recurses serially. Results are bit-identical either way and
-/// independent of the pool size, because every subtree consumes a private
-/// split() RNG stream.
+/// a thread pool level by level through ThreadPool::parallel_for (DESIGN.md
+/// §5.5), which runs them on the calling thread from a pool worker, inside
+/// a ThreadPool::InlineScope or on a one-worker pool. Results are
+/// independent of the pool size and of which thread runs a subtree, because
+/// every subtree consumes a private split() RNG stream.
 ///
 /// Test hook: overrides the pool used for parallel bisection (nullptr =
 /// ThreadPool::global()). Returns the previous override.

@@ -9,10 +9,10 @@ PartitionWorkspace::Level& PartitionWorkspace::level(std::size_t i) {
   return *levels[i];
 }
 
-BisectFrame& PartitionWorkspace::frame(std::size_t depth) {
+void PartitionWorkspace::grow_jobs(std::vector<std::unique_ptr<BisectJob>>& jobs,
+                                   std::size_t count) {
   // Amortized lazy growth, as in level() above.
-  while (frames.size() <= depth) frames.push_back(std::make_unique<BisectFrame>());  // sc-lint: allow(transitive-alloc)
-  return *frames[depth];
+  while (jobs.size() < count) jobs.push_back(std::make_unique<BisectJob>());  // sc-lint: allow(transitive-alloc)
 }
 
 PartitionWorkspace& PartitionWorkspace::local() {

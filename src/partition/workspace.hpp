@@ -3,11 +3,11 @@
 //
 // A cache-miss reward evaluation runs the full coarsen / bisect / uncoarsen
 // pipeline, which historically allocated fresh vectors and WeightedGraphs at
-// every level, bisection frame, and refinement pass. The workspace keeps all
-// of that storage alive across calls: coarsening levels and recursion frames
-// are unique_ptr-held (stable addresses while the containers grow) and every
-// buffer is reused via assign/clear, so after warm-up at a given graph shape
-// the partitioner performs no steady-state heap allocations.
+// every level, bisection subtree, and refinement pass. The workspace keeps
+// all of that storage alive across calls: coarsening levels and bisection
+// jobs are unique_ptr-held (stable addresses while the containers grow) and
+// every buffer is reused via assign/clear, so after warm-up at a given graph
+// shape the partitioner performs no steady-state heap allocations.
 //
 // Lock discipline (DESIGN.md §10): the retained workspaces are thread_local
 // (see workspace.cpp) — no mutex, so no capability annotations; the streaming shard loops that borrow per-thread
@@ -19,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "graph/union_find.hpp"
 #include "graph/weighted_graph.hpp"
 
@@ -33,20 +34,27 @@ struct MatchScratch {
   std::vector<graph::NodeId> match;
 };
 
-/// One recursion frame of workspace-based recursive bisection. Frames are
-/// indexed by depth; the two sibling recursive calls at depth d+1 reuse the
-/// same frame sequentially. Sub-graphs live in the frame because the parent
-/// needs both sides alive across its first recursive call.
-struct BisectFrame {
-  std::vector<int> part;   ///< winning bisection of this frame's graph
+/// Scratch of one bisection step (the thread that runs the step owns it).
+struct BisectScratch {
+  std::vector<int> part;   ///< winning bisection of the job's graph
   std::vector<int> trial;  ///< per-trial working partition
   std::vector<double> conn;
   std::vector<std::uint8_t> in0;
   /// Lazy max-heap of (connectivity, node) candidates for region growing.
   std::vector<std::pair<double, graph::NodeId>> grow_heap;
   std::vector<graph::NodeId> side0, side1;
-  std::vector<graph::NodeId> lift0, lift1;
-  graph::WeightedGraph g0, g1;
+};
+
+/// One subtree of the initial recursive bisection: a graph to split into
+/// the parts [frac_lo, frac_hi) of the fractions, labelled from label_base.
+struct BisectJob {
+  const graph::WeightedGraph* graph = nullptr;  ///< `owned`, or the root graph
+  graph::WeightedGraph owned;                   ///< induced subgraph (non-root)
+  std::vector<graph::NodeId> to_parent;         ///< job node -> root node
+  std::size_t frac_lo = 0;
+  std::size_t frac_hi = 0;
+  int label_base = 0;
+  Rng rng;  ///< the subtree's private split() stream
 };
 
 struct PartitionWorkspace {
@@ -63,14 +71,16 @@ struct PartitionWorkspace {
   std::vector<graph::WeightedEdge> edge_buf;
   std::vector<graph::NodeId> to_sub;
 
-  std::vector<graph::NodeId> identity;
   std::vector<int> part_a, part_b;  ///< uncoarsening double buffer
   std::vector<double> targets;
   std::vector<double> fractions;  ///< partition(g, k)'s uniform fractions
   std::vector<double> part_w;     ///< restart-scoring buffer
   std::vector<int> best_part;
 
-  std::vector<std::unique_ptr<BisectFrame>> frames;
+  BisectScratch bisect;
+  /// The bisection driver's current frontier and the children it emits,
+  /// swapped after every level; slots are retained across calls.
+  std::vector<std::unique_ptr<BisectJob>> frontier, children;
 
   /// Coarsen-only placer scratch (rl::coarsen_only_placer).
   std::vector<graph::EdgeId> edge_order;
@@ -80,8 +90,8 @@ struct PartitionWorkspace {
 
   /// Level i, created on first use and retained afterwards.
   Level& level(std::size_t i);
-  /// Recursion frame for `depth`, created on first use and retained.
-  BisectFrame& frame(std::size_t depth);
+  /// Grows `jobs` to at least `count` slots; new slots are retained.
+  static void grow_jobs(std::vector<std::unique_ptr<BisectJob>>& jobs, std::size_t count);
 
   /// This thread's workspace (one workspace set per worker thread).
   static PartitionWorkspace& local();

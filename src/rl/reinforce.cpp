@@ -328,8 +328,8 @@ std::vector<double> ReinforceTrainer::evaluate(const gnn::CoarseningPolicy& poli
     rewards[i] = contexts[i].simulator.relative_throughput(p);
   };
   if (pool != nullptr) {
-    // parallel_for blocks until every task has run (asserted by
-    // ThreadPool.ParallelForBlocksUntilComplete), so no extra wait() here.
+    // parallel_for returns only after every index has run (asserted by
+    // ThreadPool.ParallelForBlocksUntilComplete), so `rewards` is complete.
     pool->parallel_for(contexts.size(), eval_one);
   } else {
     for (std::size_t i = 0; i < contexts.size(); ++i) eval_one(i);

@@ -16,14 +16,16 @@ namespace sc {
 namespace {
 
 TEST(ThreadPool, RunsAllSubmittedTasks) {
+  // Back-to-back calls on one pool: each runs all of its indices, whatever
+  // the previous call's late helpers are still doing.
   ThreadPool pool(4);
   std::atomic<int> count{0};
-  ThreadPool::TaskGroup group(pool);
-  for (int i = 0; i < 100; ++i) {
-    group.run([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+  for (int call = 0; call < 10; ++call) {
+    pool.parallel_for(100, [&count](std::size_t) {
+      count.fetch_add(1, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(count.load(), 100 * (call + 1));
   }
-  group.wait();
-  EXPECT_EQ(count.load(), 100);
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
@@ -60,14 +62,14 @@ TEST(ThreadPool, ParallelForSingleElement) {
 
 TEST(ThreadPool, PropagatesTaskException) {
   ThreadPool pool(2);
-  ThreadPool::TaskGroup group(pool);
-  group.run([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(group.wait(), std::runtime_error);
-  // The error is reported once; group and pool remain usable afterwards.
+  EXPECT_THROW(pool.parallel_for(2, [](std::size_t i) {
+                 if (i == 1) throw std::runtime_error("boom");
+               }),
+               std::runtime_error);
+  // The error is reported once; the pool remains usable afterwards.
   std::atomic<int> count{0};
-  group.run([&count] { ++count; });
-  group.wait();
-  EXPECT_EQ(count.load(), 1);
+  pool.parallel_for(2, [&count](std::size_t) { ++count; });
+  EXPECT_EQ(count.load(), 2);
   EXPECT_THROW(pool.parallel_for(8, [](std::size_t i) {
                  if (i == 5) throw std::runtime_error("chunk");
                }),
@@ -135,12 +137,28 @@ TEST(ThreadPool, InlineScopeRunsParallelForOnCallingThread) {
   }
   EXPECT_FALSE(ThreadPool::in_worker());
   for (const std::thread::id id : ran_on) EXPECT_EQ(id, self);
-  // Outside the scope the same call fans out to pool workers again.
-  std::vector<std::thread::id> fanned(257);
-  pool.parallel_for(fanned.size(), [&fanned](std::size_t i) {
+  // Outside the scope the same call fans out again. Each of two indices
+  // waits until the other has started, so both finish in time only if they
+  // run at once: index 0 on the caller, index 1 on a helper. Every index
+  // runs as a worker, the caller's own included, so a body never fans out.
+  constexpr auto kTimeout = std::chrono::seconds(10);
+  std::atomic<int> started{0};
+  std::vector<std::thread::id> fanned(2);
+  bool as_worker[2] = {false, false};
+  const auto deadline = std::chrono::steady_clock::now() + kTimeout;
+  pool.parallel_for(fanned.size(), [&](std::size_t i) {
     fanned[i] = std::this_thread::get_id();
+    as_worker[i] = ThreadPool::in_worker();
+    started.fetch_add(1);
+    while (started.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
   });
-  for (const std::thread::id id : fanned) EXPECT_NE(id, self);
+  EXPECT_LT(std::chrono::steady_clock::now(), deadline) << "no helper ran beside the caller";
+  EXPECT_EQ(fanned[0], self);
+  EXPECT_NE(fanned[1], self);
+  EXPECT_TRUE(as_worker[0] && as_worker[1]);
+  EXPECT_FALSE(ThreadPool::in_worker());
 }
 
 TEST(ThreadPool, SizeMatchesRequestedThreads) {
@@ -162,8 +180,8 @@ TEST(ThreadPool, ClaimForCoversEveryIndexExactlyOnce) {
     for (const std::size_t n : {0u, 1u, 2u, 7u, 64u, 257u}) {
       SCOPED_TRACE(::testing::Message() << "workers=" << workers << " n=" << n);
       std::vector<std::atomic<int>> hits(n);
-      pool.claim_for(n, [&hits](std::size_t i) { hits[i].fetch_add(1); });
-      // claim_for returns only after every index has run.
+      pool.parallel_for(n, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+      // parallel_for returns only after every index has run.
       for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
     }
   }
@@ -177,11 +195,11 @@ TEST(ThreadPool, ClaimForRethrowsFirstExceptionOnceAndStartsNothingAfter) {
   {
     ThreadPool pool(4);
     test::WorkerGate gate(pool);
-    EXPECT_THROW(pool.claim_for(100,
-                                [&started](std::size_t i) {
-                                  started.fetch_add(1);
-                                  if (i == 5) throw std::runtime_error("panel");
-                                }),
+    EXPECT_THROW(pool.parallel_for(100,
+                                   [&started](std::size_t i) {
+                                     started.fetch_add(1);
+                                     if (i == 5) throw std::runtime_error("panel");
+                                   }),
                  std::runtime_error);
     EXPECT_EQ(started.load(), 6);
   }  // the pool runs every queued helper before its workers join
@@ -195,7 +213,7 @@ TEST(ThreadPool, ClaimForRethrowsFirstExceptionOnceAndStartsNothingAfter) {
   {
     ThreadPool pool(4);
     try {
-      pool.claim_for(256, [&thrown](std::size_t) {
+      pool.parallel_for(256, [&thrown](std::size_t) {
         thrown.fetch_add(1);
         throw std::runtime_error("every panel");
       });
@@ -209,7 +227,7 @@ TEST(ThreadPool, ClaimForRethrowsFirstExceptionOnceAndStartsNothingAfter) {
     EXPECT_LE(thrown.load(), 5) << "indices kept starting after the first exception";
     const int at_return = thrown.load();
     std::atomic<int> count{0};
-    EXPECT_NO_THROW(pool.claim_for(64, [&count](std::size_t) { count.fetch_add(1); }));
+    EXPECT_NO_THROW(pool.parallel_for(64, [&count](std::size_t) { count.fetch_add(1); }));
     EXPECT_EQ(count.load(), 64);
     EXPECT_EQ(thrown.load(), at_return);
   }
@@ -224,7 +242,7 @@ TEST(ThreadPool, ClaimForReturnsBeforeALateHelperRuns) {
     test::WorkerGate gate(pool);
     const std::thread::id self = std::this_thread::get_id();
     std::atomic<int> elsewhere{0};
-    pool.claim_for(8, [&](std::size_t) {
+    pool.parallel_for(8, [&](std::size_t) {
       calls.fetch_add(1);
       if (std::this_thread::get_id() != self) elsewhere.fetch_add(1);
     });
@@ -236,14 +254,14 @@ TEST(ThreadPool, ClaimForReturnsBeforeALateHelperRuns) {
 }
 
 TEST(ThreadPool, ClaimForFromAWorkerRunsInline) {
-  // A claim_for issued from a pool task runs every index on that task's
-  // thread, so it can never wait on work queued behind itself.
+  // A parallel_for issued from a loop body runs every index on that body's
+  // thread, the caller's own indices included (they run as a worker's do).
   ThreadPool pool(2);
   std::vector<std::thread::id> outer(4);
   std::vector<std::vector<std::thread::id>> inner(4, std::vector<std::thread::id>(16));
   pool.parallel_for(outer.size(), [&](std::size_t o) {
     outer[o] = std::this_thread::get_id();
-    pool.claim_for(inner[o].size(), [&, o](std::size_t i) {
+    pool.parallel_for(inner[o].size(), [&, o](std::size_t i) {
       inner[o][i] = std::this_thread::get_id();
     });
   });

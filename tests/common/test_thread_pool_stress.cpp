@@ -33,7 +33,7 @@ namespace {
 TEST(ThreadPoolStress, ConcurrentParallelForCallers) {
   // Several external threads share one pool and issue parallel_for
   // concurrently. Each caller writes a disjoint result range; the pool's
-  // queue is the shared state under test, each call's task group its own.
+  // queue is the shared state under test, each call's claim state its own.
   ThreadPool pool(4);
   constexpr std::size_t kCallers = 6;
   constexpr std::size_t kItems = 512;
@@ -56,20 +56,18 @@ TEST(ThreadPoolStress, ConcurrentParallelForCallers) {
 }
 
 TEST(ThreadPoolStress, SubmitWaitChurn) {
-  // Rapid run/wait cycles on per-thread groups sharing one pool, with tiny
-  // task bodies so the queue empties and refills constantly (exercises each
-  // group's notify path at its pending == 0 edge).
+  // Rapid back-to-back calls from threads sharing one pool, with tiny loop
+  // bodies so the queue empties and refills constantly (exercises each
+  // call's notify path at its pending == 0 edge).
   ThreadPool pool(3);
   std::atomic<std::uint64_t> total{0};
   std::vector<std::thread> producers;
   for (int p = 0; p < 4; ++p) {
     producers.emplace_back([&pool, &total] {
-      ThreadPool::TaskGroup group(pool);
       for (int round = 0; round < 50; ++round) {
-        for (int i = 0; i < 20; ++i) {
-          group.run([&total] { total.fetch_add(1, std::memory_order_relaxed); });
-        }
-        group.wait();
+        pool.parallel_for(20, [&total](std::size_t) {
+          total.fetch_add(1, std::memory_order_relaxed);
+        });
       }
     });
   }
@@ -77,30 +75,28 @@ TEST(ThreadPoolStress, SubmitWaitChurn) {
   EXPECT_EQ(total.load(), 4u * 50u * 20u);
 }
 
-TEST(ThreadPoolStress, TaskGroupCreateDestroyChurn) {
-  // Thousands of short-lived groups created, waited and destroyed from four
-  // threads. A group's last task may still be releasing the group state
-  // after wait() returned and the group object is gone; ASan/TSan flag any
-  // use-after-free of that state.
+TEST(ThreadPoolStress, ClaimStateCreateDestroyChurn) {
+  // Thousands of short-lived calls from four threads, each with its own
+  // claim state and its own closure on the caller's stack. A call's late
+  // helpers may still be releasing that state after the call returned and
+  // the closure is gone; ASan/TSan flag any use-after-free of either.
   ThreadPool pool(4);
   std::atomic<std::uint64_t> total{0};
   std::vector<std::thread> callers;
   for (int c = 0; c < 4; ++c) {
     callers.emplace_back([&pool, &total, c] {
       for (int round = 0; round < 2000; ++round) {
-        ThreadPool::TaskGroup group(pool);
-        const int tasks = 1 + (round + c) % 3;
-        for (int i = 0; i < tasks; ++i) {
-          group.run([&total] { total.fetch_add(1, std::memory_order_relaxed); });
-        }
-        if (round % 2 == 0) group.wait();  // odd rounds: the destructor waits
+        const std::size_t tasks = 2 + static_cast<std::size_t>(round + c) % 3;
+        pool.parallel_for(tasks, [&total](std::size_t) {
+          total.fetch_add(1, std::memory_order_relaxed);
+        });
       }
     });
   }
   for (std::thread& t : callers) t.join();
   std::uint64_t expected = 0;
   for (int c = 0; c < 4; ++c) {
-    for (int round = 0; round < 2000; ++round) expected += 1 + (round + c) % 3;
+    for (int round = 0; round < 2000; ++round) expected += 2 + (round + c) % 3;
   }
   EXPECT_EQ(total.load(), expected);
 }
@@ -141,9 +137,9 @@ TEST(ThreadPoolStress, ConcurrentCallersOwnTheirErrors) {
 }
 
 TEST(ThreadPoolStress, NestedParallelForFallsBackSerially) {
-  // parallel_for issued from inside a worker must run inline (a nested
-  // wait on the owning pool could deadlock) while outer calls still fan
-  // out. Mixes both in one run.
+  // parallel_for issued from inside a loop body runs inline, on workers and
+  // on the caller alike, while outer calls still fan out. Mixes both in one
+  // run.
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(128);
   pool.parallel_for(hits.size(), [&](std::size_t i) {
@@ -257,12 +253,13 @@ TEST(RewardHotPathStress, WorkspaceChurnAcrossThreads) {
 }
 
 TEST(ParallelBisectionStress, ConcurrentSubtreeWorkspaces) {
-  // Drives the parallel recursive-bisection BFS driver hard: wide k so the
-  // frontier fans many SubtreeJobs onto the pool at once, plus several caller
-  // threads partitioning concurrently on the same pool. Each pool worker
-  // reuses its thread_local PartitionWorkspace / FmScratch across jobs from
-  // *different* callers — TSan verifies those workspaces never leak across
-  // workers, and the exact-equality check below verifies jobs never leak
+  // Drives the recursive-bisection BFS driver hard: wide k so the frontier
+  // fans many jobs onto the pool at once, plus several caller threads
+  // partitioning concurrently on the same pool. Each pool worker reuses its
+  // thread_local PartitionWorkspace / FmScratch across jobs from *different*
+  // callers, while helpers read and write the jobs held in each caller's
+  // own workspace — TSan verifies those workspaces never leak across
+  // threads, and the exact-equality check below verifies jobs never leak
   // state across repeats either.
   Rng gr(2027);
   std::vector<double> weights(260);
@@ -384,7 +381,7 @@ TEST(NnFanOutStress, ConcurrentLargeGraphForwardBackward) {
 TEST(NnFanOutStress, LateHelpersOutliveTheCall) {
   // Two external threads issue thousands of row-panel fan-outs just above
   // the 128-row threshold while a third keeps every global-pool worker busy
-  // with short tasks, so the claim_for helpers a fan-out queues often start
+  // with short tasks, so the helpers a fan-out queues often start
   // after that call has returned and its closure is gone. Such a helper must
   // find nothing to claim and exit without touching it; every call's values
   // must equal an inline reference.
@@ -405,16 +402,12 @@ TEST(NnFanOutStress, LateHelpersOutliveTheCall) {
 
   std::atomic<bool> stop{false};
   std::thread busy([&stop] {
-    ThreadPool::TaskGroup group(ThreadPool::global());
     while (!stop.load()) {
-      for (int t = 0; t < 8; ++t) {
-        group.run([] {
-          std::atomic<int> spin{0};
-          while (spin.fetch_add(1, std::memory_order_relaxed) < 2000) {
-          }
-        });
-      }
-      group.wait();
+      ThreadPool::global().parallel_for(8, [](std::size_t) {
+        std::atomic<int> spin{0};
+        while (spin.fetch_add(1, std::memory_order_relaxed) < 2000) {
+        }
+      });
     }
   });
   std::vector<std::size_t> mismatched(kCallers, 0);

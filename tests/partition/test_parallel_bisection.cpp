@@ -3,10 +3,10 @@
 // Fanning subtrees out over a pool is an execution strategy only: every
 // subtree of the bisection tree consumes a private split() RNG stream
 // derived from its path to the root, so the partition — and the draw
-// sequence of every stream — is identical whether the subtrees run serially
-// (inside a ThreadPool::InlineScope or on a 1-worker pool), on a 2-worker
-// pool, or on an 8-worker pool. These tests pin that contract down with
-// exact (==) comparisons on the resulting labels.
+// sequence of every stream — is identical whether the subtrees run on one
+// thread (inside a ThreadPool::InlineScope or on a 1-worker pool), on a
+// 2-worker pool, or on an 8-worker pool. These tests pin that contract down
+// with exact (==) comparisons on the resulting labels.
 #include "partition/mlpart.hpp"
 
 #include <gtest/gtest.h>
@@ -69,7 +69,7 @@ TEST(ParallelBisection, ThreadCountInvariant) {
 
 TEST(ParallelBisection, ToggleDoesNotChangeResults) {
   // The same partitioner on a 4-worker pool (subtrees fan out) and inside an
-  // InlineScope (serial recursion), with restarts.
+  // InlineScope (every subtree on the calling thread), with restarts.
   const WeightedGraph g = random_graph(240, 300, 29);
   ThreadPool pool(4);
   ThreadPool* prev_pool = set_parallel_bisection_pool(&pool);

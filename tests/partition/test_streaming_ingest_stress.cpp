@@ -67,13 +67,14 @@ TEST(StreamingIngestStress, ProducerFinishesBeforeConsumerDrains) {
 TEST(StreamingIngestStress, ConsumerDrainsBackloggedQueue) {
   // Tiny ingest chunks flood the bounded queue with many small batches, so
   // the producer's full-queue spin path and the consumer's batched drain
-  // both run; the commutative counts must match the serial reader's exactly.
+  // both run; the commutative counts must match exactly those of a read
+  // whose committer parses every chunk itself.
   const fs::path path = write_fixture(300, 400, 0x52u, "backlog");
   ChunkGuard guard;
 
   StreamingIngest serial;
   {
-    const ThreadPool::InlineScope inline_scope;  // read_csr reads serially
+    const ThreadPool::InlineScope inline_scope;  // no parse loop runs
     serial = streaming_read_csr(path.string());
   }
 

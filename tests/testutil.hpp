@@ -5,6 +5,8 @@
 #include <atomic>
 #include <cstddef>
 #include <latch>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -54,21 +56,26 @@ inline graph::StreamGraph make_two_components() {
   return b.build();
 }
 
-/// Holds every worker of `pool` in one task each until the gate opens, so
-/// nothing queued behind those tasks can start meanwhile.
+/// Holds every worker of `pool` in one loop index each until the gate
+/// opens, so nothing queued behind those indices can start meanwhile. A
+/// holder thread runs a parallel_for of size() + 1 indices that each block
+/// until the gate opens: the holder claims one index and each worker the
+/// next, so once all of them have arrived every worker is held. Needs a pool
+/// of at least two workers (a 1-worker pool runs parallel_for inline).
 class WorkerGate {
 public:
   explicit WorkerGate(ThreadPool& pool)
-      : arrived_(static_cast<std::ptrdiff_t>(pool.size())), group_(pool) {
-    for (std::size_t w = 0; w < pool.size(); ++w) {
-      group_.run([this] {
+      : arrived_(static_cast<std::ptrdiff_t>(pool.size() + 1)) {
+    if (pool.size() < 2) throw std::logic_error("WorkerGate needs at least two workers");
+    holder_ = std::thread([this, &pool] {
+      pool.parallel_for(pool.size() + 1, [this](std::size_t) {
         arrived_.count_down();
         open_.wait();
       });
-    }
+    });
     arrived_.wait();
   }
-  ~WorkerGate() { open(); }  // group_'s destructor then waits for the tasks
+  ~WorkerGate() { release(); }
 
   WorkerGate(const WorkerGate&) = delete;
   WorkerGate& operator=(const WorkerGate&) = delete;
@@ -78,17 +85,18 @@ public:
     if (!opened_.exchange(true)) open_.count_down();
   }
 
-  /// Opens the gate and waits until every held worker has left it.
+  /// Opens the gate and waits until every held worker has left it. Call
+  /// from the thread that built the gate.
   void release() {
     open();
-    group_.wait();
+    if (holder_.joinable()) holder_.join();
   }
 
 private:
   std::latch arrived_;
   std::latch open_{1};
   std::atomic<bool> opened_{false};
-  ThreadPool::TaskGroup group_;
+  std::thread holder_;  ///< declared last: its loop uses the latches
 };
 
 }  // namespace sc::test

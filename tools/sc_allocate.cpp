@@ -46,7 +46,7 @@ int run_streaming(const sc::Flags& flags) {
   std::cout << "graph " << g.name() << ": " << g.num_nodes() << " nodes, " << g.num_edges()
             << " edges, csr footprint " << metrics::Table::fmt(
                    static_cast<double>(g.footprint_bytes()) / (1024.0 * 1024.0), 1)
-            << " MiB (" << read_stats.passes << " passes, buffer "
+            << " MiB (" << read_stats.chunks << " chunks of "
             << read_stats.buffer_bytes / 1024 << " KiB)\n";
   std::cout << "  shards " << stats.num_shards << ", coarse " << stats.coarse_nodes << "/"
             << stats.coarse_edges << " (cross-shard " << stats.cross_shard_edges

@@ -45,10 +45,8 @@ call graph, and checks:
                         or sleeps — unless the reached function is annotated
                         `// sc-lint: reader-thread`. The pipelined ingest
                         confines filesystem stalls to the dedicated reader
-                        thread (and, on the serial arm, the bounded scanner's
-                        refill, which plays the reader role inline); every
-                        other stage must stay compute- or queue-bound so the
-                        overlap actually overlaps.
+                        thread; every other stage must stay compute- or
+                        queue-bound so the overlap actually overlaps.
 
 Suppression uses the same syntax as sc_lint: `// sc-lint: allow(<rule>)` on
 the offending line. For the transitive rules an allow is honored on any of:
